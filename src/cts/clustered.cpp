@@ -75,8 +75,7 @@ BuildResult build_topology_clustered(std::span<const ct::Sink> sinks,
     // Cell builds are independent, so they fan out across the pool (one
     // cell per chunk); each iteration writes only its own locals/tops
     // slot. The splice into the global topology stays serial, in cell
-    // order, so the result is identical at every thread count. Engines
-    // running inside a worker serialize their own scans (par::in_worker).
+    // order, so the result is identical at every thread count.
     const obs::ScopedTimer obs_cells_timer("cluster_cells");
     std::vector<std::optional<BuildResult>> locals(
         static_cast<std::size_t>(num_cells));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <queue>
 
@@ -10,7 +9,6 @@
 #include "guard/deadline.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "par/pool.h"
 #include "prof/flightrec.h"
 
 namespace gcr::cts {
@@ -18,36 +16,6 @@ namespace gcr::cts {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Relative slack applied to the Eq. 3 lower bound before it is compared
-/// against an incumbent cost: the bound and the exact cost are computed by
-/// different expressions, so a few ulps of rounding must never turn a
-/// legitimate candidate into a "provably" dominated one.
-constexpr double kLbSlack = 1.0 - 1e-9;
-
-/// Chunk grains for the sharded scans. Fixed constants: chunk boundaries
-/// (and therefore every chunk-local pruning decision) depend only on the
-/// range, never on the thread count -- the determinism contract.
-constexpr std::int64_t kRecomputeGrain = 16;  ///< items are O(front) scans
-constexpr std::int64_t kRefreshGrain = 64;    ///< items are one pair cost
-
-/// Width-aware serial cutover (docs/observability.md worked diagnosis):
-/// a pool dispatch costs ~29us of wakeup latency, lock traffic and
-/// straggler wait, so fanning out a scan whose total work is smaller than
-/// that just parks the caller while workers fight over crumbs -- the
-/// measured t>1 regression. Below the cutover the same chunks run inline
-/// on the calling thread (par::parallel_* with width 1), which by the
-/// determinism contract computes bit-identical results; the cutover may
-/// therefore depend on any estimate, however rough, without affecting the
-/// built topology. 2x the dispatch cost keeps the fan-out comfortably
-/// ahead of the overhead even at width 2.
-constexpr std::int64_t kDispatchOverheadNs = 29'000;
-constexpr std::int64_t kSerialCutoverNs = 2 * kDispatchOverheadNs;
-/// Rough per-item costs for the estimate: one exact Eq. 3 pair evaluation
-/// (closed-form balance split + a handful of flops), and one indexed
-/// best-partner query (bucket walk + a few surviving pair evaluations).
-constexpr std::int64_t kPairEvalNs = 60;
-constexpr std::int64_t kIndexQueryNs = 900;
 
 struct Candidate {
   int node{-1};  ///< topology node id
@@ -65,8 +33,8 @@ struct Candidate {
   double self_cost{0.0};
   /// Elmore branch-delay coefficients of an edge down to this subtree
   /// (delay(L) = a + b*L + (rc/2) L^2, gating per BuildOptions): what a
-  /// zero-skew merge must balance, cached so lower_bound can price the
-  /// snaked wire a delay-mismatched pair is forced to buy.
+  /// zero-skew merge must balance, cached so the partner index can price
+  /// the snaked wire a delay-mismatched pair is forced to buy.
   ct::BranchCoeffs coeffs;
   bool alive{false};
 };
@@ -85,10 +53,9 @@ struct Pick {
 };
 
 /// Strict total order on candidate pairs: by cost, then by the canonical
-/// (lower id, higher id) pair. This is the tie-break every scan and every
-/// reduction uses, so the chosen merge is independent of scan order, of
-/// the active-front permutation the swap-removes produce, and of the
-/// thread count.
+/// (lower id, higher id) pair. This is the tie-break both engines use, so
+/// the chosen merge is independent of scan order and of the active-front
+/// permutation the swap-removes produce, and the two engines agree.
 bool pair_less(double cost_x, int x1, int x2, double cost_y, int y1, int y2) {
   if (cost_x != cost_y) return cost_x < cost_y;
   const int xlo = std::min(x1, x2), xhi = std::max(x1, x2);
@@ -120,102 +87,12 @@ struct HeapEntryAfter {
   }
 };
 
-/// Uniform grid over candidate merging-segment centers. Its only job is to
-/// hand recompute_best a *nearby* partner to seed the incumbent cost with,
-/// so the lower-bound prune bites from the first comparisons of the scan;
-/// pruning correctness never depends on the seed being the true nearest.
-class SeedGrid {
- public:
-  void init(int num_sinks, int capacity, double xlo, double ylo, double w,
-            double h) {
-    dim_ = std::max(1, static_cast<int>(
-                           std::floor(std::sqrt(num_sinks / 2.0))));
-    xlo_ = xlo;
-    ylo_ = ylo;
-    inv_w_ = dim_ / std::max(w, 1e-12);
-    inv_h_ = dim_ / std::max(h, 1e-12);
-    cells_.assign(static_cast<std::size_t>(dim_) * dim_, {});
-    cell_of_.assign(static_cast<std::size_t>(capacity), -1);
-    loc_.assign(static_cast<std::size_t>(capacity), geom::Point{0.0, 0.0});
-  }
-
-  void insert(int id, const geom::Point& c) {
-    const int cell = cell_index(c);
-    cells_[static_cast<std::size_t>(cell)].push_back(id);
-    cell_of_[static_cast<std::size_t>(id)] = cell;
-    loc_[static_cast<std::size_t>(id)] = c;
-  }
-
-  void remove(int id) {
-    const int cell = cell_of_[static_cast<std::size_t>(id)];
-    auto& bucket = cells_[static_cast<std::size_t>(cell)];
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (bucket[k] == id) {
-        bucket[k] = bucket.back();
-        bucket.pop_back();
-        break;
-      }
-    }
-    cell_of_[static_cast<std::size_t>(id)] = -1;
-  }
-
-  /// A near neighbor of `id` (never `id` itself): the (distance, id)-min
-  /// over the first non-empty Chebyshev ring of cells around `id`'s cell.
-  /// Deterministic; returns -1 when no other candidate is stored.
-  [[nodiscard]] int nearest(int id) const {
-    const geom::Point& c = loc_[static_cast<std::size_t>(id)];
-    const int cx = std::clamp(
-        static_cast<int>((c.x - xlo_) * inv_w_), 0, dim_ - 1);
-    const int cy = std::clamp(
-        static_cast<int>((c.y - ylo_) * inv_h_), 0, dim_ - 1);
-    for (int r = 0; r < dim_; ++r) {
-      int best = -1;
-      double best_d = kInf;
-      const auto consider_cell = [&](int x, int y) {
-        if (x < 0 || x >= dim_ || y < 0 || y >= dim_) return;
-        for (const int j : cells_[static_cast<std::size_t>(y) * dim_ + x]) {
-          if (j == id) continue;
-          const geom::Point& p = loc_[static_cast<std::size_t>(j)];
-          const double d = geom::manhattan_dist(c, p);
-          if (d < best_d || (d == best_d && j < best)) {
-            best_d = d;
-            best = j;
-          }
-        }
-      };
-      if (r == 0) {
-        consider_cell(cx, cy);
-      } else {
-        for (int x = cx - r; x <= cx + r; ++x) {
-          consider_cell(x, cy - r);
-          consider_cell(x, cy + r);
-        }
-        for (int y = cy - r + 1; y <= cy + r - 1; ++y) {
-          consider_cell(cx - r, y);
-          consider_cell(cx + r, y);
-        }
-      }
-      if (best >= 0) return best;
-    }
-    return -1;
-  }
-
- private:
-  [[nodiscard]] int cell_index(const geom::Point& c) const {
-    const int cx = std::clamp(
-        static_cast<int>((c.x - xlo_) * inv_w_), 0, dim_ - 1);
-    const int cy = std::clamp(
-        static_cast<int>((c.y - ylo_) * inv_h_), 0, dim_ - 1);
-    return cy * dim_ + cx;
-  }
-
-  int dim_{1};
-  double xlo_{0.0}, ylo_{0.0}, inv_w_{1.0}, inv_h_{1.0};
-  std::vector<std::vector<int>> cells_;
-  std::vector<int> cell_of_;        ///< node id -> cell (-1 when absent)
-  std::vector<geom::Point> loc_;    ///< node id -> stored center
-};
-
+/// The greedy merge loop with its two serial pick engines: the indexed
+/// engine (the default for the geometric costs) and the exhaustive rescan
+/// (ActivityOnly, and the `partner_index = false` reference that
+/// `gcr_check --index-diff` compares against). Both pick the same strict
+/// (cost, lower-id, higher-id) argmin at every step, so they build
+/// bit-identical topologies.
 class GreedyEngine {
  public:
   GreedyEngine(std::span<const TapSeed> seeds,
@@ -224,11 +101,7 @@ class GreedyEngine {
       : opts_(opts),
         analyzer_(analyzer),
         topo_(static_cast<int>(seeds.size())),
-        width_(par::resolve_threads(opts.num_threads)),
-        indexed_(opts.partner_index && opts.spatial_prune &&
-                 opts.cost != MergeCost::ActivityOnly),
-        prune_(!indexed_ && opts.spatial_prune &&
-               opts.cost == MergeCost::SwitchedCapacitance) {
+        indexed_(opts.partner_index && opts.cost != MergeCost::ActivityOnly) {
     assert(!seeds.empty());
     assert(opts.cost == MergeCost::NearestNeighbor || analyzer != nullptr);
     const int n = static_cast<int>(seeds.size());
@@ -237,8 +110,8 @@ class GreedyEngine {
     pos_.assign(cands_.size(), -1);
 
     // Seed bounding box over merging-segment centers. Centers suffice: the
-    // grid and the index only use the box for bucketing and clamp outliers
-    // to the border cells, never for correctness.
+    // index only uses the box for bucketing and clamps outliers to the
+    // border cells, never for correctness.
     double xlo = kInf, xhi = -kInf, ylo = kInf, yhi = -kInf;
     for (const TapSeed& seed : seeds) {
       const geom::Point c = seed.tap.ms.center();
@@ -253,7 +126,6 @@ class GreedyEngine {
     // whatever the coordinate scale.
     const double diag = (xhi - xlo) + (yhi - ylo);
     tie_eps_ = 1e-9 / std::max(diag, 1.0);
-    if (prune_) grid_.init(n, 2 * n - 1, xlo, ylo, xhi - xlo, yhi - ylo);
     if (indexed_) {
       index_.init(opts_.cost == MergeCost::NearestNeighbor
                       ? PartnerIndex::Metric::Distance
@@ -282,10 +154,15 @@ class GreedyEngine {
     const int n = topo_.num_leaves();
     obs::TraceSink* trace = obs::active_trace();
     // Hoisted: the ambient deadline cannot change during the run, and the
-    // per-merge poll sits on the serial coordinating thread -- a merge
-    // either happens completely or not at all at every thread width.
+    // poll sits between merges -- a merge either happens completely or
+    // not at all.
     const guard::Deadline* dl = guard::current_deadline();
-    if (indexed_) init_index_bests();
+    if (indexed_) {
+      for (const int i : active_) {
+        index_recompute(i);
+        link(i);
+      }
+    }
     for (int step = 0; step + 1 < n; ++step) {
       if (dl != nullptr && dl->expired()) throw guard::CancelledError("topology");
       const Pick pick = indexed_ ? pick_min_pair_indexed() : pick_min_pair();
@@ -341,8 +218,6 @@ class GreedyEngine {
   void activate(int id) {
     pos_[static_cast<std::size_t>(id)] = static_cast<int>(active_.size());
     active_.push_back(id);
-    if (prune_)
-      grid_.insert(id, cands_[static_cast<std::size_t>(id)].tap.ms.center());
     if (indexed_)
       index_.insert(id, index_item(cands_[static_cast<std::size_t>(id)]));
   }
@@ -356,20 +231,7 @@ class GreedyEngine {
     pos_[static_cast<std::size_t>(last)] = p;
     active_.pop_back();
     pos_[static_cast<std::size_t>(id)] = -1;
-    if (prune_) grid_.remove(id);
     if (indexed_) index_.remove(id);
-  }
-
-  /// Effective width for a sharded scan whose estimated total work is
-  /// `items * ns_per_item` nanoseconds: 1 (inline on the caller, no pool
-  /// dispatch) below the serial cutover, the full configured width above
-  /// it. Chunk boundaries depend only on the range and the grain, so the
-  /// inline and fanned-out runs compute bit-identical results -- the
-  /// estimate only trades wall time, never the topology.
-  [[nodiscard]] int scan_width(std::int64_t items,
-                               std::int64_t ns_per_item) const {
-    if (width_ <= 1) return 1;
-    return items * ns_per_item < kSerialCutoverNs ? 1 : width_;
   }
 
   /// Cost of merging two live candidates. Deliberately uninstrumented --
@@ -404,51 +266,22 @@ class GreedyEngine {
            (t.wire_cap(y.cp_dist) + t.gate_enable_cap) * y.p_tr;
   }
 
-  /// Cheap Eq. 3 lower bound: the two new edges jointly span at least
-  /// merge_wire_total -- the larger of the merging-segment distance and
-  /// the snaked length a delay-mismatched pair is forced to buy (that
-  /// total is what zero_skew_merge's len_a + len_b works out to, so the
-  /// bound is near-tight) -- each lambda of it weighted by at least
-  /// min(p_floor), plus both sides' merge-invariant terms. kLbSlack
-  /// absorbs cross-expression rounding.
-  double lower_bound(const Candidate& x, const Candidate& y) const {
-    const tech::TechParams& t = opts_.tech;
-    const double d = x.tap.ms.distance_to(y.tap.ms);
-    const double len = ct::merge_wire_total(x.coeffs, y.coeffs, d,
-                                            t.unit_res * t.unit_cap);
-    return (x.self_cost + y.self_cost +
-            t.wire_cap(len) * std::min(x.p_floor, y.p_floor)) *
-           kLbSlack;
+  static void count_evals(std::uint64_t evaluated) {
+    if (obs::metrics_enabled()) [[unlikely]] {
+      static obs::Counter& evals =
+          obs::Registry::global().counter("cts.candidate_evals");
+      evals.inc(evaluated);
+    }
   }
 
+  /// Exhaustive rescan: best_[i] becomes the exact (cost, smallest partner
+  /// id) argmin over every other live candidate.
   void recompute_best(int i) {
     BestPartner bp;
     const Candidate& ci = cands_[static_cast<std::size_t>(i)];
-    std::uint64_t evaluated = 0;
-    std::uint64_t pruned = 0;
-    int seed = -1;
-    if (prune_) {
-      // Seed the incumbent with a geometric near-neighbor so the bound
-      // starts pruning immediately instead of after a lucky early hit.
-      seed = grid_.nearest(i);
-      if (seed >= 0) {
-        bp.cost = pair_cost(ci, cands_[static_cast<std::size_t>(seed)]);
-        bp.partner = seed;
-        ++evaluated;
-      }
-    }
     for (const int j : active_) {
-      if (j == i || j == seed) continue;
-      const Candidate& cj = cands_[static_cast<std::size_t>(j)];
-      if (prune_ && bp.partner >= 0 && lower_bound(ci, cj) > bp.cost) {
-        // Strictly dominated: cost >= bound > incumbent >= final minimum,
-        // so the pair can neither win nor tie. Skipping it cannot change
-        // the (cost, id) argmin.
-        ++pruned;
-        continue;
-      }
-      ++evaluated;
-      const double cost = pair_cost(ci, cj);
+      if (j == i) continue;
+      const double cost = pair_cost(ci, cands_[static_cast<std::size_t>(j)]);
       if (cost < bp.cost || (cost == bp.cost && j < bp.partner)) {
         bp.cost = cost;
         bp.partner = j;
@@ -456,24 +289,24 @@ class GreedyEngine {
     }
     bp.stale = false;
     best_[static_cast<std::size_t>(i)] = bp;
+    const auto evaluated = static_cast<std::uint64_t>(active_.size() - 1);
     trace_recompute(i, bp, evaluated);
+    count_recompute(evaluated);
+  }
+
+  static void count_recompute(std::uint64_t evaluated) {
     if (obs::metrics_enabled()) [[unlikely]] {
       static obs::Counter& recomputes =
           obs::Registry::global().counter("cts.best_partner_recomputes");
-      static obs::Counter& evals =
-          obs::Registry::global().counter("cts.candidate_evals");
-      static obs::Counter& pruned_pairs =
-          obs::Registry::global().counter("cts.pruned_pairs");
       recomputes.inc();
-      evals.inc(evaluated);
-      if (pruned > 0) pruned_pairs.inc(pruned);
     }
+    count_evals(evaluated);
   }
 
-  /// The worker-side half of a merge decision: recomputes run inside pool
-  /// chunks, so this event lands on the worker's own trace track. It only
-  /// reaches the sink because workers carry the session binding
-  /// (Session::WorkerViewTag in par::ThreadPool) -- without it,
+  /// One instant event per best-partner recompute. Engines running inside
+  /// the clustered builder's per-cell fan-out execute on pool workers; the
+  /// event still reaches the sink because workers carry the session
+  /// binding (Session::WorkerViewTag in par::ThreadPool) -- without it,
   /// active_trace() is null on a pool thread and the decision is lost.
   static void trace_recompute(int i, const BestPartner& bp,
                               std::uint64_t evaluated) {
@@ -498,10 +331,9 @@ class GreedyEngine {
   /// smallest-partner-id) argmin over every live candidate, with the index
   /// bounds skipping strictly-dominated buckets/pairs. Survivors pay the
   /// exact pair cost directly: since pair_cost prices through the
-  /// closed-form balance split it now costs about the same as the Eq. 3
-  /// lower bound itself, so a second engine-side bound check before it
-  /// would only double the work. Writes only best_[i]; safe to run for
-  /// disjoint i from pool workers.
+  /// closed-form balance split it costs about the same as an Eq. 3 lower
+  /// bound itself, so a second engine-side bound check before it would
+  /// only double the work.
   void index_recompute(int i) {
     const Candidate& ci = cands_[static_cast<std::size_t>(i)];
     PartnerIndex::QueryStats qs;
@@ -514,44 +346,39 @@ class GreedyEngine {
     BestPartner bp{fb.cost, fb.partner, false};
     best_[static_cast<std::size_t>(i)] = bp;
     trace_recompute(i, bp, qs.evaluated);
+    count_recompute(qs.evaluated);
     if (obs::metrics_enabled()) [[unlikely]] {
-      static obs::Counter& recomputes =
-          obs::Registry::global().counter("cts.best_partner_recomputes");
-      static obs::Counter& evals =
-          obs::Registry::global().counter("cts.candidate_evals");
-      static obs::Counter& pruned_pairs =
-          obs::Registry::global().counter("cts.pruned_pairs");
       static obs::Counter& queries =
           obs::Registry::global().counter("cts.index_queries");
       static obs::Counter& bucket_skips =
           obs::Registry::global().counter("cts.index_bucket_skips");
-      recomputes.inc();
       queries.inc();
-      evals.inc(qs.evaluated);
-      if (qs.pruned > 0) pruned_pairs.inc(qs.pruned);
       if (qs.bucket_skips > 0) bucket_skips.inc(qs.bucket_skips);
     }
   }
 
-  /// Push best_[i]'s heap entry. Call once per best_ write, on the
-  /// coordinating thread.
+  /// Push best_[i]'s heap entry. Call once per best_ write.
   void link(int i) {
     const BestPartner& bp = best_[static_cast<std::size_t>(i)];
     if (bp.partner < 0) return;
     heap_.push(HeapEntry{bp.cost, i, bp.partner});
   }
 
-  /// Initial pass of the indexed engine: every leaf's exact best partner
-  /// over all leaves, sharded across the pool (disjoint best_ writes),
-  /// then serially linked in id order.
-  void init_index_bests() {
-    const auto n = static_cast<std::int64_t>(active_.size());
-    par::parallel_for(scan_width(n, kIndexQueryNs), 0, n, kRecomputeGrain,
-                      [&](std::int64_t b, std::int64_t e) {
-                        for (std::int64_t p = b; p < e; ++p)
-                          index_recompute(active_[static_cast<std::size_t>(p)]);
-                      });
-    for (const int i : active_) link(i);
+  /// The (cost, lower-id, higher-id) argmin over the cached best partners
+  /// of the whole front; every cached entry must be fresh.
+  [[nodiscard]] Pick argmin_front() const {
+    int besti = -1;
+    for (const int i : active_) {
+      const BestPartner& bp = best_[static_cast<std::size_t>(i)];
+      if (besti < 0 ||
+          pair_less(bp.cost, i, bp.partner,
+                    best_[static_cast<std::size_t>(besti)].cost, besti,
+                    best_[static_cast<std::size_t>(besti)].partner))
+        besti = i;
+    }
+    const BestPartner& bp = best_[static_cast<std::size_t>(besti)];
+    return Pick{std::min(besti, bp.partner), std::max(besti, bp.partner),
+                bp.cost};
   }
 
   /// Pop the heap down to the first entry that still describes a live
@@ -580,32 +407,17 @@ class GreedyEngine {
         link(e.owner);
         continue;
       }
-      Pick pick;
-      pick.a = std::min(e.owner, e.partner);
-      pick.b = std::max(e.owner, e.partner);
-      pick.cost = e.cost;
-      return pick;
+      return Pick{std::min(e.owner, e.partner), std::max(e.owner, e.partner),
+                  e.cost};
     }
     // Unreachable while the lazy invariant holds; degrade gracefully by
     // refreshing the whole front and re-linking, rather than crashing.
     assert(false && "partner-index heap exhausted");
-    for (const int i : active_) index_recompute(i);
-    for (const int i : active_) link(i);
-    int besti = -1;
     for (const int i : active_) {
-      const BestPartner& bp = best_[static_cast<std::size_t>(i)];
-      if (besti < 0 ||
-          pair_less(bp.cost, i, bp.partner,
-                    best_[static_cast<std::size_t>(besti)].cost, besti,
-                    best_[static_cast<std::size_t>(besti)].partner))
-        besti = i;
+      index_recompute(i);
+      link(i);
     }
-    const int partner = best_[static_cast<std::size_t>(besti)].partner;
-    Pick pick;
-    pick.a = std::min(besti, partner);
-    pick.b = std::max(besti, partner);
-    pick.cost = best_[static_cast<std::size_t>(besti)].cost;
-    return pick;
+    return argmin_front();
   }
 
   /// Index maintenance after a merge (a, b already deactivated): insert
@@ -614,9 +426,7 @@ class GreedyEngine {
   /// lazily if and when they surface in pick_min_pair_indexed. Deferral
   /// coalesces the fan-in: a popular partner's death costs one repair per
   /// *surfacing* dependent, not one recompute per dependent per death.
-  void index_post_merge(int a, int b, int id) {
-    (void)a;
-    (void)b;
+  void index_post_merge(int id) {
     activate(id);
     if (index_.maybe_rebuild()) {
       if (obs::metrics_enabled()) [[unlikely]] {
@@ -629,52 +439,42 @@ class GreedyEngine {
     link(id);
   }
 
+  /// Exhaustive pick: rescan every entry that is still unset or whose
+  /// cached partner has died, then take the argmin over the front.
   Pick pick_min_pair() {
     assert(active_.size() >= 2);
-    // Phase 1: refresh stale / invalidated best-partner entries, sharded
-    // across the pool. Each item writes only best_[active_[pos]]; all
-    // shared state (cands_, active_, the grid) is read-only here.
-    // The width estimate counts the entries a chunk would actually
-    // recompute (a cheap flag scan), each an O(front) rescan: late in the
-    // run -- and on every merge that invalidates only a couple of cached
-    // partners -- the whole phase is smaller than one pool dispatch.
-    const auto num_active = static_cast<std::int64_t>(active_.size());
-    std::int64_t stale = 0;
     for (const int i : active_) {
       const BestPartner& bp = best_[static_cast<std::size_t>(i)];
       if (bp.stale || !cands_[static_cast<std::size_t>(bp.partner)].alive)
-        ++stale;
+        recompute_best(i);
     }
-    par::parallel_for(
-        scan_width(stale * num_active, kPairEvalNs), 0, num_active,
-        kRecomputeGrain,
-        [&](std::int64_t b, std::int64_t e) {
-          for (std::int64_t p = b; p < e; ++p) {
-            const int i = active_[static_cast<std::size_t>(p)];
-            const BestPartner& bp = best_[static_cast<std::size_t>(i)];
-            if (bp.stale ||
-                !cands_[static_cast<std::size_t>(bp.partner)].alive)
-              recompute_best(i);
-          }
-        });
-    // Phase 2: the (cost, lower-id, higher-id) argmin over the fresh
-    // entries. Cheap (one comparison per front member), so it stays
-    // serial; the total order makes it scan-order independent anyway.
-    int besti = -1;
-    for (const int i : active_) {
-      const BestPartner& bp = best_[static_cast<std::size_t>(i)];
-      if (besti < 0 ||
-          pair_less(bp.cost, i, bp.partner,
-                    best_[static_cast<std::size_t>(besti)].cost, besti,
-                    best_[static_cast<std::size_t>(besti)].partner))
-        besti = i;
+    return argmin_front();
+  }
+
+  /// Exhaustive maintenance after a merge (a, b already deactivated): the
+  /// new node may beat existing cached partners, so one pass prices every
+  /// front member against it, which also yields the new node's own best.
+  void rescan_post_merge(int id) {
+    const Candidate& cn = cands_[static_cast<std::size_t>(id)];
+    BestPartner bn;
+    for (const int j : active_) {
+      const double cost = pair_cost(cn, cands_[static_cast<std::size_t>(j)]);
+      BestPartner& bj = best_[static_cast<std::size_t>(j)];
+      // (cost, id) tie-break: `id` is the largest live node id, so only a
+      // strictly better cost may displace j's cached partner.
+      if (!bj.stale && cost < bj.cost) {
+        bj.cost = cost;
+        bj.partner = id;
+      }
+      if (cost < bn.cost || (cost == bn.cost && j < bn.partner)) {
+        bn.cost = cost;
+        bn.partner = j;
+      }
     }
-    const int partner = best_[static_cast<std::size_t>(besti)].partner;
-    Pick pick;
-    pick.a = std::min(besti, partner);
-    pick.b = std::max(besti, partner);
-    pick.cost = best_[static_cast<std::size_t>(besti)].cost;
-    return pick;
+    bn.stale = false;
+    best_[static_cast<std::size_t>(id)] = bn;
+    count_evals(static_cast<std::uint64_t>(active_.size()));
+    activate(id);
   }
 
   /// One instant event per Eq. 3 decision: the chosen pair, its
@@ -745,95 +545,17 @@ class GreedyEngine {
     cb.alive = false;
     deactivate(a);
     deactivate(b);
-
-    if (indexed_) {
-      index_post_merge(a, b, id);
-      return;
-    }
-
-    // The new candidate may beat existing best partners; refresh every
-    // front member and find the new node's own best in one sharded pass.
-    // Each chunk writes only its own best_[j] entries and its partial-min
-    // slot; partials are folded in ascending chunk order (gcr::par), and
-    // ties fall to the smaller partner id -- so the outcome is identical
-    // at every thread count.
-    struct ChunkBest {
-      double cost{kInf};
-      int partner{-1};
-      std::uint64_t evaluated{0};
-      std::uint64_t pruned{0};
-    };
-    const auto num_active = static_cast<std::int64_t>(active_.size());
-    const ChunkBest total = par::parallel_reduce(
-        scan_width(num_active, kPairEvalNs), 0, num_active, kRefreshGrain,
-        ChunkBest{},
-        [&](std::int64_t bpos, std::int64_t epos) {
-          ChunkBest cb_local;
-          for (std::int64_t p = bpos; p < epos; ++p) {
-            const int j = active_[static_cast<std::size_t>(p)];
-            const Candidate& cj = cands_[static_cast<std::size_t>(j)];
-            BestPartner& bj = best_[static_cast<std::size_t>(j)];
-            if (prune_) {
-              const double lb = lower_bound(cn, cj);
-              // The exact cost is only needed when the pair could either
-              // improve j's cached best or this chunk's incumbent for the
-              // new node; both tests are against a strict bound, so only
-              // strictly-dominated pairs are skipped.
-              const bool for_bj = !bj.stale && lb <= bj.cost;
-              const bool for_new = cb_local.partner < 0 || lb <= cb_local.cost;
-              if (!for_bj && !for_new) {
-                ++cb_local.pruned;
-                continue;
-              }
-            }
-            ++cb_local.evaluated;
-            const double cost = pair_cost(cn, cj);
-            // (cost, id) tie-break: `id` is the largest live node id, so
-            // only a strictly better cost may displace j's cached partner.
-            if (!bj.stale && cost < bj.cost) {
-              bj.cost = cost;
-              bj.partner = id;
-            }
-            if (cost < cb_local.cost ||
-                (cost == cb_local.cost && j < cb_local.partner)) {
-              cb_local.cost = cost;
-              cb_local.partner = j;
-            }
-          }
-          return cb_local;
-        },
-        [](ChunkBest x, ChunkBest y) {
-          ChunkBest out;
-          out.evaluated = x.evaluated + y.evaluated;
-          out.pruned = x.pruned + y.pruned;
-          const bool take_y =
-              x.partner < 0 ||
-              (y.partner >= 0 &&
-               (y.cost < x.cost || (y.cost == x.cost && y.partner < x.partner)));
-          out.cost = take_y ? y.cost : x.cost;
-          out.partner = take_y ? y.partner : x.partner;
-          return out;
-        });
-    best_[static_cast<std::size_t>(id)] = {total.cost, total.partner, false};
-    activate(id);
-    if (obs::metrics_enabled()) [[unlikely]] {
-      static obs::Counter& evals =
-          obs::Registry::global().counter("cts.candidate_evals");
-      static obs::Counter& pruned_pairs =
-          obs::Registry::global().counter("cts.pruned_pairs");
-      evals.inc(total.evaluated);
-      if (total.pruned > 0) pruned_pairs.inc(total.pruned);
-    }
+    if (indexed_)
+      index_post_merge(id);
+    else
+      rescan_post_merge(id);
   }
 
   BuildOptions opts_;
   const activity::ActivityAnalyzer* analyzer_;
   ct::Topology topo_;
-  int width_;        ///< effective worker width (par::resolve_threads)
-  bool indexed_;     ///< partner index armed (geometric costs + prune on)
-  bool prune_;       ///< rescan-path spatial prune (SwitchedCapacitance only)
+  bool indexed_;     ///< partner index armed (geometric costs)
   double tie_eps_;   ///< ActivityOnly distance tie epsilon (bbox-scaled)
-  SeedGrid grid_;
   std::vector<Candidate> cands_;
   std::vector<BestPartner> best_;
   std::vector<int> active_;  ///< live node ids (order mutates via swap-remove)

@@ -14,8 +14,9 @@
 /// \file greedy.h
 /// Greedy bottom-up topology construction (paper section 4.2).
 ///
-/// Both engines repeatedly merge the pair of active subtrees with the
-/// minimum cost, performing an exact zero-skew merge at each step:
+/// The greedy repeatedly merges the pair of active subtrees with the
+/// minimum cost, performing an exact zero-skew merge at each step. The
+/// costs (see also MergeCost::ActivityOnly):
 ///
 ///   * NearestNeighbor -- the conventional heuristic [Edahiro'91]: cost is
 ///     the Manhattan distance between merging segments. Used for the
@@ -29,32 +30,23 @@
 ///
 /// The engine caches each candidate's electrical tap, activation mask,
 /// P(EN), P_tr(EN) and CP distance, so evaluating a pair cost is a closed-
-/// form zero-skew merge plus a handful of flops; a best-partner array with
-/// lazy recomputation keeps the whole construction near O(N^2).
+/// form zero-skew merge plus a handful of flops. Picks run on one of two
+/// serial engines, which build bit-identical topologies under the strict
+/// (cost, lower-id, higher-id) order:
 ///
-/// Two accelerations sit on top (both produce bit-identical topologies, at
-/// any thread count -- see docs/parallelism.md):
-///
-///   * the best-partner rescans and the post-merge refresh are sharded
-///     across a gcr::par thread pool with a strict (cost, lower-id,
-///     higher-id) tie-break, so the chosen merge never depends on scan or
-///     scheduling order;
-///   * a uniform-grid spatial prune skips the exact zero-skew merge for
-///     pairs whose cheap Eq. 3 lower bound (merging-segment distance times
-///     the floored probability weight, plus each side's merge-invariant
-///     terms) already exceeds the incumbent best. Only strictly-dominated
-///     pairs are pruned, so the argmin (ties included) is untouched; the
-///     `cts.pruned_pairs` counter records the skip rate.
-///
-/// With BuildOptions::partner_index (the default for the geometric costs)
-/// the rescans disappear entirely: a maintained dynamic bucket index
-/// (cts/partner_index.h) holds every live candidate's best partner under
-/// lazy invalidation, a lazy-deletion heap keyed by the same strict
-/// (cost, lower-id, higher-id) order yields the next merge, and each merge
-/// recomputes only the new node plus the candidates whose cached partner
-/// just died -- near-linear construction, still bit-identical to the
-/// exhaustive engine (see docs/ALGORITHMS.md for the invariant and its
-/// proof sketch).
+///   * the indexed engine (BuildOptions::partner_index, the default for
+///     the geometric costs): a maintained dynamic bucket index
+///     (cts/partner_index.h) holds every live candidate's best partner
+///     under lazy invalidation, a lazy-deletion heap keyed by the same
+///     strict order yields the next merge, and each merge recomputes only
+///     the new node plus the candidates whose cached partner died and
+///     whose entry surfaces -- near-linear construction (see
+///     docs/ALGORITHMS.md for the invariant and its proof sketch);
+///   * the exhaustive rescan: a best-partner array with lazy recomputation
+///     and a post-merge refresh, ~O(N^2). It is the ActivityOnly engine
+///     (that cost has no geometric bound for the index) and the
+///     `partner_index = false` oracle `gcr_check --index-diff` compares
+///     the indexed engine against.
 
 namespace gcr::cts {
 
@@ -84,24 +76,20 @@ struct BuildOptions {
   /// keeps a geometric term in every merge; 0 reproduces the literal paper
   /// cost.
   double min_prob_weight{0.05};
-  /// Worker threads for the candidate scans (gcr::par). 0 resolves to the
-  /// GCR_THREADS environment default (else the hardware thread count); 1
-  /// runs serially. The built topology is bit-identical at every setting.
+  /// Worker threads for the clustered builder's per-cell fan-out
+  /// (cts/clustered.h, gcr::par). 0 resolves to the GCR_THREADS
+  /// environment default (else the hardware thread count); 1 runs
+  /// serially. A single greedy build is always serial and ignores it. The
+  /// built topology is bit-identical at every setting.
   int num_threads{0};
-  /// Skip exact Eq. 3 evaluation of provably-dominated pairs via the
-  /// uniform-grid lower bound (SwitchedCapacitance cost only). Never
-  /// changes the result; `false` forces exhaustive evaluation and is the
-  /// reference the prune tests compare against.
-  bool spatial_prune{true};
   /// Serve best-partner queries from a maintained dynamic bucket index
   /// (cts/partner_index.h) instead of rescanning the whole front per
   /// merge: near-linear construction instead of ~O(N^2). Applies to the
-  /// geometric costs (NearestNeighbor, SwitchedCapacitance) and requires
-  /// `spatial_prune` (the shared lower-bound machinery); ActivityOnly has
-  /// no geometric bound and always uses the rescan engine. Never changes
-  /// the result -- the topology is bit-identical to the exhaustive path at
-  /// any thread count; `false` falls back to the rescan engine and is the
-  /// reference `gcr_check --index-diff` compares against.
+  /// geometric costs (NearestNeighbor, SwitchedCapacitance); ActivityOnly
+  /// has no geometric bound and always uses the rescan engine. Never
+  /// changes the result -- the topology is bit-identical to the exhaustive
+  /// rescan; `false` selects the rescan and is the reference
+  /// `gcr_check --index-diff` compares against.
   bool partner_index{true};
   tech::TechParams tech{};
 };

@@ -131,14 +131,10 @@ class PartnerIndex {
     int partner{-1};
   };
 
-  /// Telemetry for one find_best call. `pruned` counts every stored item
-  /// the query did NOT pay an exact evaluation for, whatever bound level
-  /// skipped it (subtree or bucket discard, per-pair bound, or the
-  /// caller's own bound signalled via an infinite eval result);
-  /// `bucket_skips` counts discarded pyramid nodes (all levels).
+  /// Telemetry for one find_best call: exact evaluations paid, and
+  /// discarded pyramid nodes (all levels).
   struct QueryStats {
     std::uint64_t evaluated{0};
-    std::uint64_t pruned{0};
     std::uint64_t bucket_skips{0};
   };
 
@@ -463,8 +459,6 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   if (stats != nullptr) {
     stats->evaluated += evaluated;
     stats->bucket_skips += node_skips;
-    const auto others = static_cast<std::uint64_t>(size_ - 1);
-    stats->pruned += evaluated >= others ? 0 : others - evaluated;
   }
   return best;
 }

@@ -162,7 +162,6 @@ EcoPlan plan_topology(const core::Design& base, const core::Design& next,
     }
     bopts.gated_edges = true;
     bopts.control_point = next.die.center();
-    bopts.num_threads = opts.num_threads;
     bopts.partner_index = opts.partner_index;
     bopts.tech = build_tech;
     std::vector<cts::TapSeed> seeds(static_cast<std::size_t>(s));

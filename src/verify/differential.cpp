@@ -185,12 +185,14 @@ struct Driver {
       route_checked(router, spec, ropts, "route:buffered");
     }
 
-    // Serial vs multi-threaded Eq. 3 greedy: the gcr::par determinism
-    // contract says the routed tree is bit-identical at any width.
+    // Serial vs multi-threaded clustered Eq. 3 build (the only greedy
+    // that fans out): the gcr::par determinism contract says the routed
+    // tree is bit-identical at any width.
     if (opts.thread_check) {
       core::RouterOptions ropts;
       ropts.style = core::TreeStyle::Gated;
       ropts.topology = Scheme::MinSwitchedCap;
+      ropts.clustered = true;
       ropts.num_threads = 1;
       const auto serial =
           route_checked(router, spec, ropts, "thread-determinism");
@@ -381,19 +383,6 @@ DiffStats run_eco_differential(const EcoDiffOptions& opts) {
       }
       const ct::RoutedTree& tree = inc.result->tree;
 
-      // The gcr::par determinism contract extends to the spine re-merge.
-      core::RouterOptions wide = ropts;
-      wide.num_threads = 4;
-      const core::RouteOutcome inc4 =
-          eco::route_incremental(router, prev, delta, wide);
-      ++driver.stats.routes;
-      if (!inc4.result.has_value() ||
-          !trees_identical(tree, inc4.result->tree)) {
-        driver.fail(spec, stage + ":threads",
-                    "incremental trees differ between 1 and 4 worker "
-                    "threads");
-      }
-
       // The incremental result must verify exactly like a from-scratch
       // route of the applied design.
       Report rep = verify_result(next_router, ropts, *inc.result);
@@ -487,7 +476,9 @@ DiffStats run_index_differential(const IndexDiffOptions& opts) {
           std::pair{Scheme::ActivityOnly, "activity"},
           std::pair{Scheme::Mmm, "mmm"}}) {
       for (const bool clustered : {false, true}) {
+        // Only the clustered builder fans out, so only it sweeps widths.
         for (const int threads : {1, 4}) {
+          if (!clustered && threads > 1) continue;
           core::RouterOptions ropts;
           ropts.style = core::TreeStyle::Gated;
           ropts.topology = scheme;

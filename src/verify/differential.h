@@ -19,8 +19,8 @@
 ///     MMM) must produce an invariant-clean exact-zero-skew tree;
 ///   * flat vs clustered greedy: identical zero-skew guarantee, clustered
 ///     wirelength within a documented factor of flat;
-///   * serial vs multi-threaded Eq. 3 greedy: bit-identical routed trees
-///     (the gcr::par determinism contract);
+///   * serial vs multi-threaded clustered Eq. 3 build: bit-identical
+///     routed trees (the gcr::par determinism contract);
 ///   * gate reduction (auto-tuned, so the strength-0 candidate anchors the
 ///     sweep) never increases total switched capacitance;
 ///   * the buffered baseline stays invariant-clean with buffer parameters.
@@ -51,14 +51,14 @@ struct DiffOptions {
   /// design (docs/verification.md).
   double clustered_wl_factor{3.0};
   int clustered_min_sinks{24};
-  /// Route the Eq. 3 gated tree serially and at 4 worker threads and
-  /// require bit-identical routed trees (the gcr::par determinism
-  /// contract, docs/parallelism.md).
+  /// Route the clustered Eq. 3 gated tree serially and at 4 worker
+  /// threads and require bit-identical routed trees (the gcr::par
+  /// determinism contract, docs/parallelism.md).
   bool thread_check{true};
   /// Route the Eq. 3 gated tree with the dynamic partner index disabled
   /// and require a tree bit-identical to the indexed default -- the
   /// index-vs-exhaustive contract of cts::BuildOptions::partner_index.
-  /// (gcr_check --index-diff runs the full scheme/clustered/thread matrix;
+  /// (gcr_check --index-diff runs the full scheme x flat/clustered matrix;
   /// this leg keeps one always-on cross-check in every sweep.)
   bool index_check{true};
   std::string dump_dir;  ///< write failing artifacts here ("" = off)
@@ -97,7 +97,7 @@ struct DiffStats {
 
 /// Options for the dedicated partner-index differential
 /// (gcr_check --index-diff): for each random design, every greedy
-/// TopologyScheme x {flat, clustered} x {1, 4 worker threads} is routed
+/// TopologyScheme x {flat, clustered at 1 and 4 worker threads} is routed
 /// with the dynamic partner index on and off, and the two routed trees
 /// must be bit-identical (trees_identical).
 struct IndexDiffOptions {
@@ -122,8 +122,7 @@ struct IndexDiffOptions {
 ///     equivalence-or-bounded-delta contract, docs/incremental.md);
 ///   * every out-of-cone carried-over node preserves its bottom-up fields
 ///     (edge length, gate bit/size, cap, delay) bit-for-bit from the
-///     previous route (structural deltas; placement is excluded);
-///   * 1 vs 4 worker threads produce bit-identical incremental trees.
+///     previous route (structural deltas; placement is excluded).
 struct EcoDiffOptions {
   int num_designs{25};
   std::uint64_t seed{2026};

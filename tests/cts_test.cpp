@@ -281,6 +281,16 @@ TEST(Greedy, CostTiesAcrossBucketBoundariesMatchExhaustive) {
   EXPECT_EQ(std::max(first.left, first.right), 1);
 }
 
+TEST(Greedy, IndexedMatchesExhaustiveOnWorkloadDesign) {
+  // A benchmark-style design large enough that most partners are found
+  // deep in the index, against the plain exhaustive rescan.
+  const auto inst = Instance::make(1024, 15);
+  expect_index_matches_exhaustive(inst.bench.sinks, &inst.analyzer,
+                                  MergeCost::SwitchedCapacitance);
+  expect_index_matches_exhaustive(inst.bench.sinks, nullptr,
+                                  MergeCost::NearestNeighbor);
+}
+
 TEST(Greedy, SingleSinkIgnoresPartnerIndexSetting) {
   ct::SinkList sinks = {{{100, 100}, 0.02}};
   for (const bool idx : {true, false}) {

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "core/router.h"
-#include "cts/greedy.h"
-#include "obs/metrics.h"
 #include "par/pool.h"
 #include "verify/generator.h"
 
@@ -181,6 +179,7 @@ void expect_width_invariant(std::uint64_t seed, bool clustered) {
   }
 }
 
+// The flat greedy is serial and ignores the width; pin that it stays so.
 TEST(ParDeterminism, FlatGreedyIdenticalAtAnyWidth) {
   for (const std::uint64_t seed : {101ull, 202ull, 303ull})
     expect_width_invariant(seed, /*clustered=*/false);
@@ -189,56 +188,6 @@ TEST(ParDeterminism, FlatGreedyIdenticalAtAnyWidth) {
 TEST(ParDeterminism, ClusteredGreedyIdenticalAtAnyWidth) {
   for (const std::uint64_t seed : {404ull, 505ull})
     expect_width_invariant(seed, /*clustered=*/true);
-}
-
-// --- spatial prune safety --------------------------------------------------
-
-TEST(SpatialPrune, NeverChangesTheChosenTopology) {
-  // The prune may only skip pairs whose lower bound strictly exceeds the
-  // incumbent cost, so the exhaustive scan and the pruned scan must pick
-  // the same argmin at every step -- i.e. identical topologies.
-  for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
-    verify::DesignSpec spec = verify::random_spec(seed);
-    const core::Design design = verify::generate_design(spec);
-    const activity::ActivityAnalyzer an(design.rtl, design.stream);
-    const auto mods =
-        cts::identity_modules(static_cast<int>(design.sinks.size()));
-    cts::BuildOptions opts;
-    opts.cost = cts::MergeCost::SwitchedCapacitance;
-    opts.control_point = design.die.center();
-    opts.spatial_prune = false;
-    const cts::BuildResult exhaustive =
-        cts::build_topology(design.sinks, &an, mods, opts);
-    opts.spatial_prune = true;
-    const cts::BuildResult pruned =
-        cts::build_topology(design.sinks, &an, mods, opts);
-    ASSERT_EQ(exhaustive.topo.num_nodes(), pruned.topo.num_nodes());
-    for (int id = 0; id < exhaustive.topo.num_nodes(); ++id) {
-      EXPECT_EQ(exhaustive.topo.node(id).left, pruned.topo.node(id).left)
-          << "seed=" << seed << " id=" << id;
-      EXPECT_EQ(exhaustive.topo.node(id).right, pruned.topo.node(id).right)
-          << "seed=" << seed << " id=" << id;
-    }
-  }
-}
-
-TEST(SpatialPrune, ActuallyPrunesOnRealInstances) {
-  verify::DesignSpec spec = verify::random_spec(77);
-  spec.num_sinks = std::max(spec.num_sinks, 96);  // enough pairs to prune
-  const core::Design design = verify::generate_design(spec);
-  const activity::ActivityAnalyzer an(design.rtl, design.stream);
-  const auto mods =
-      cts::identity_modules(static_cast<int>(design.sinks.size()));
-  cts::BuildOptions opts;
-  opts.cost = cts::MergeCost::SwitchedCapacitance;
-  opts.control_point = design.die.center();
-
-  obs::set_metrics_enabled(true);
-  obs::Registry::global().reset();
-  const cts::BuildResult r = cts::build_topology(design.sinks, &an, mods, opts);
-  obs::set_metrics_enabled(false);
-  EXPECT_TRUE(r.topo.valid());
-  EXPECT_GT(obs::Registry::global().counter("cts.pruned_pairs").value(), 0u);
 }
 
 }  // namespace

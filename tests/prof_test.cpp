@@ -276,6 +276,8 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   const core::GatedClockRouter router(verify::generate_design(spec));
   core::RouterOptions opts;
   opts.style = core::TreeStyle::Gated;
+  // Clustered: its per-cell engines run on pool workers.
+  opts.clustered = true;
   opts.num_threads = 4;
   const core::RouterResult r = router.route(opts);
   EXPECT_EQ(r.tree.num_leaves, 128);
@@ -286,8 +288,8 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
     if (e.name == "merge") ++merges;
     if (e.name == "recompute") ++recomputes;
   }
-  // One decision event per greedy merge, regardless of which thread the
-  // supporting scans ran on.
+  // One decision event per greedy merge (cell and top-level builds sum to
+  // n - 1), regardless of which thread the engine ran on.
   EXPECT_EQ(merges, 127u);
   // Every best-partner recompute -- counted by the engine itself -- must
   // have reached the sink, including the ones pool workers executed.

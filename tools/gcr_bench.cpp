@@ -17,7 +17,8 @@
 ///   --out DIR    sidecar directory (created if missing; default ".")
 ///   --list       print registered benchmark names and exit
 ///   --no-mem     leave the allocation hook off (timings only)
-///   --threads N  route_par sweeps widths {1, N} instead of the default set
+///   --threads N  route_par sweeps clustered-build widths {1, N} instead of
+///                the default set
 ///   --profile    also write a `PROF_<group>.json` gcr.profile_report per
 ///                group (sampling profiler + hw counters + pool telemetry);
 ///                the PROF_ prefix keeps the sidecars out of gcr_benchdiff's
@@ -307,26 +308,24 @@ void register_route(Groups& g, bool quick) {
   }
 }
 
-// --- route_par: thread scaling of the parallel topology build --------------
+// --- route_par: thread scaling of the clustered per-cell fan-out ---------
 
 void register_route_par(Groups& g, bool quick, int threads_override) {
-  // Routed gated (no reduction pass, so the timed section is dominated by
-  // the Eq. 3 greedy the pool shards); the thread sweep makes the scaling
-  // visible in one sidecar. The routed tree is identical at every width
-  // -- only the time may differ. Two full-tier sizes: since the indexed
-  // engine (PR 7) an n=2048 front is mostly below the serial-cutover
-  // threshold, so only the n=16384 rows genuinely shard work across the
-  // pool; the small rows instead pin that t>1 stays free of dispatch
-  // overhead.
+  // Routed gated through the two-level clustered builder (no reduction
+  // pass, so the timed section is dominated by topology): the per-cell
+  // greedy builds are what --threads fans out -- the flat greedy is
+  // serial. The routed tree is identical at every width; only the time
+  // may differ.
   const std::vector<int> sizes =
-      quick ? std::vector<int>{512} : std::vector<int>{2048, 16384};
+      quick ? std::vector<int>{2048} : std::vector<int>{8000, 16384};
   std::vector<int> widths = quick ? std::vector<int>{1, 4}
                                   : std::vector<int>{1, 2, 4};
   if (threads_override > 0) widths = {1, threads_override};
   for (const int n : sizes) {
     for (const int t : widths) {
       g["route_par"].add(
-          "route_par/gated/n=" + std::to_string(n) + "/t=" + std::to_string(t),
+          "route_par/clustered/n=" + std::to_string(n) +
+              "/t=" + std::to_string(t),
           [n, t] {
             auto inst = make_instance(n, 19);
             auto router =
@@ -334,6 +333,7 @@ void register_route_par(Groups& g, bool quick, int threads_override) {
             return [router, t] {
               core::RouterOptions opts;
               opts.style = core::TreeStyle::Gated;
+              opts.clustered = true;
               opts.num_threads = t;
               const core::RouterResult r = router->route(opts);
               perf::do_not_optimize(r.swcap.total_swcap());

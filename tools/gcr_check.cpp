@@ -22,16 +22,16 @@
 ///       diagnostic, never a crash (docs/robustness.md).
 ///   gcr_check --index-diff N [--seed S] [--dump DIR] [--verbose]
 ///       partner-index differential: N random designs, every greedy
-///       TopologyScheme x {flat, clustered} x {1, 4 threads} routed with
+///       TopologyScheme x {flat, clustered at 1 and 4 threads} routed with
 ///       the dynamic partner index on and off; the trees must be
 ///       bit-identical (docs/ALGORITHMS.md).
 ///   gcr_check --eco-diff N [--seed S] [--dump DIR] [--verbose]
 ///       incremental-ECO differential: N random designs with random
 ///       deltas (moves/removals/adds/stream swaps); every scheme's
 ///       eco::route_incremental result must verify clean, preserve
-///       out-of-cone nodes bit-identically, stay deterministic across
-///       thread counts, and match a from-scratch route exactly or within
-///       the documented switched-cap bound (docs/incremental.md).
+///       out-of-cone nodes bit-identically, and match a from-scratch
+///       route exactly or within the documented switched-cap bound
+///       (docs/incremental.md).
 ///
 /// Exit codes: 0 ok, 1 usage, 2 invalid input, 3 resource/deadline,
 /// 4 internal error / invariant violation / harness failure.
@@ -97,7 +97,7 @@ void usage() {
          "  --topology swcap|nn|activity|mmm topology scheme\n"
          "  --partitions K                   distributed controllers\n"
          "  --clustered                      two-level construction\n"
-         "  --threads N                      topology-build worker threads\n"
+         "  --threads N                      clustered per-cell worker threads\n"
          "  --skew-bound PS                  skew budget (0 = exact)\n"
          "  --log-json FILE                  structured gcr.event JSONL log\n"
          "                                   (also via GCR_LOG=FILE)\n"

@@ -89,7 +89,7 @@ void usage() {
          "  --strength S                     reduction aggressiveness in [0,1]\n"
          "  --auto-tune                      sweep reduction strength, keep best\n"
          "  --clustered                      two-level construction (large designs)\n"
-         "  --threads N                      topology-build worker threads\n"
+         "  --threads N                      clustered per-cell worker threads\n"
          "                                   (0 = GCR_THREADS or hardware;\n"
          "                                   result identical at any N)\n"
          "  --size-gates                     per-merge gate sizing\n"

@@ -78,7 +78,7 @@ void usage() {
          "                       (default shed)\n"
          "  --cache-capacity N   bounded LRU capacity for the design and\n"
          "                       result caches (default 64; 0 disables)\n"
-         "  --threads N          topology width for requests with\n"
+         "  --threads N          clustered-build width for requests with\n"
          "                       threads=0 (default 1; results identical\n"
          "                       at any width)\n"
          "  --deadline-ms MS     budget for requests without their own\n"
