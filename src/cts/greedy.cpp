@@ -352,8 +352,11 @@ class GreedyEngine {
           obs::Registry::global().counter("cts.index_queries");
       static obs::Counter& bucket_skips =
           obs::Registry::global().counter("cts.index_bucket_skips");
+      static obs::Counter& node_bounds =
+          obs::Registry::global().counter("cts.index_node_bounds");
       queries.inc();
       if (qs.bucket_skips > 0) bucket_skips.inc(qs.bucket_skips);
+      if (qs.node_bounds > 0) node_bounds.inc(qs.node_bounds);
     }
   }
 

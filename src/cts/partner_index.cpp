@@ -24,18 +24,24 @@ void PartnerIndex::init(Metric metric, const tech::TechParams* tech,
   rebuilds_ = 0;
   items_.assign(static_cast<std::size_t>(capacity), {});
   cell_of_.assign(static_cast<std::size_t>(capacity), -1);
-  self_order_.clear();
+  self_heap_.clear();
+  self_pos_.assign(static_cast<std::size_t>(capacity), -1);
   build_levels();
 }
 
 void PartnerIndex::build_levels() {
   bucket_ids_.assign(static_cast<std::size_t>(dim_) * dim_, {});
-  levels_.clear();
   level_dim_.clear();
   for (int d = dim_;; d = (d + 1) / 2) {
-    levels_.emplace_back(static_cast<std::size_t>(d) * d);
     level_dim_.push_back(d);
     if (d == 1) break;
+  }
+  assert(static_cast<int>(level_dim_.size()) <= kMaxLevels);
+  levels_.assign(level_dim_.size(), {});
+  level_dim_.push_back(1);  // above the root
+  for (std::size_t k = 0; k < levels_.size(); ++k) {
+    const auto up = static_cast<std::size_t>(level_dim_[k + 1]);
+    levels_[k].assign(up * up, Quad{});
   }
 }
 
@@ -47,26 +53,29 @@ int PartnerIndex::cell_index(const geom::Point& c) const {
   return cy * dim_ + cx;
 }
 
+void PartnerIndex::absorb_path(std::vector<std::vector<Quad>>& levels,
+                               int cell, const Item& item) const {
+  int x = cell % dim_;
+  int y = cell / dim_;
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    levels[k][quad_of(k, x, y)].absorb(lane_of(x, y), item);
+    x >>= 1;
+    y >>= 1;
+  }
+}
+
 void PartnerIndex::bucket_insert(int id, const Item& item) {
   const int cell = cell_index(item.center);
   bucket_ids_[static_cast<std::size_t>(cell)].push_back(id);
   cell_of_[static_cast<std::size_t>(id)] = cell;
-  // Tighten the aggregates along the leaf-to-root path.
-  int x = cell % dim_;
-  int y = cell / dim_;
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    levels_[k][static_cast<std::size_t>(y) * level_dim_[k] + x].absorb(item);
-    x /= 2;
-    y /= 2;
-  }
+  absorb_path(levels_, cell, item);
 }
 
 void PartnerIndex::insert(int id, const Item& item) {
   assert(cell_of_[static_cast<std::size_t>(id)] < 0);
   items_[static_cast<std::size_t>(id)] = item;
   bucket_insert(id, item);
-  if (metric_ == Metric::SwitchedCap)
-    self_order_.emplace(item.self_cost, id);
+  if (metric_ == Metric::SwitchedCap) self_push(id, item.self_cost);
   ++size_;
 }
 
@@ -82,17 +91,23 @@ void PartnerIndex::remove(int id) {
     }
   }
   cell_of_[static_cast<std::size_t>(id)] = -1;
-  if (metric_ == Metric::SwitchedCap)
-    self_order_.erase({items_[static_cast<std::size_t>(id)].self_cost, id});
+  if (metric_ == Metric::SwitchedCap) self_erase(id);
   --size_;
-  // Only the exact live counts shrink; min/max aggregates and bboxes are
-  // left stale-conservative. rebuild() restores exactness.
+  // Keep every aggregate exact: recompute the leaf from its remaining
+  // members, then each ancestor from its four child lanes.
   int x = cell % dim_;
   int y = cell / dim_;
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    --levels_[k][static_cast<std::size_t>(y) * level_dim_[k] + x].count;
-    x /= 2;
-    y /= 2;
+  Quad& leaf = levels_[0][quad_of(0, x, y)];
+  leaf.clear(lane_of(x, y));
+  for (const int j : ids)
+    leaf.absorb(lane_of(x, y), items_[static_cast<std::size_t>(j)]);
+  for (std::size_t k = 1; k < levels_.size(); ++k) {
+    const std::size_t kids =
+        static_cast<std::size_t>(y >> 1) * level_dim_[k] +
+        static_cast<std::size_t>(x >> 1);
+    x >>= 1;
+    y >>= 1;
+    levels_[k][quad_of(k, x, y)].merge(lane_of(x, y), levels_[k - 1][kids]);
   }
 }
 
@@ -113,6 +128,84 @@ void PartnerIndex::rebuild() {
     bucket_insert(id, items_[static_cast<std::size_t>(id)]);
   last_rebuild_size_ = size_;
   ++rebuilds_;
+}
+
+void PartnerIndex::self_push(int id, double self_cost) {
+  self_heap_.emplace_back();
+  self_place(static_cast<int>(self_heap_.size()) - 1, {self_cost, id});
+  self_sift_up(static_cast<int>(self_heap_.size()) - 1);
+}
+
+void PartnerIndex::self_erase(int id) {
+  const int i = self_pos_[static_cast<std::size_t>(id)];
+  assert(i >= 0);
+  self_pos_[static_cast<std::size_t>(id)] = -1;
+  const std::pair<double, int> last = self_heap_.back();
+  self_heap_.pop_back();
+  if (i == static_cast<int>(self_heap_.size())) return;
+  self_place(i, last);
+  self_sift_up(i);
+  self_sift_down(self_pos_[static_cast<std::size_t>(last.second)]);
+}
+
+void PartnerIndex::self_sift_up(int i) {
+  const std::pair<double, int> e = self_heap_[static_cast<std::size_t>(i)];
+  while (i > 0) {
+    const int parent = (i - 1) / 2;
+    if (!(e < self_heap_[static_cast<std::size_t>(parent)])) break;
+    self_place(i, self_heap_[static_cast<std::size_t>(parent)]);
+    i = parent;
+  }
+  self_place(i, e);
+}
+
+void PartnerIndex::self_sift_down(int i) {
+  const int n = static_cast<int>(self_heap_.size());
+  const std::pair<double, int> e = self_heap_[static_cast<std::size_t>(i)];
+  for (int c = 2 * i + 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && self_heap_[static_cast<std::size_t>(c + 1)] <
+                         self_heap_[static_cast<std::size_t>(c)])
+      ++c;
+    if (!(self_heap_[static_cast<std::size_t>(c)] < e)) break;
+    self_place(i, self_heap_[static_cast<std::size_t>(c)]);
+    i = c;
+  }
+  self_place(i, e);
+}
+
+bool PartnerIndex::aggregates_exact() const {
+  // Rebuild every level from scratch over the stored items.
+  std::vector<std::vector<Quad>> fresh(levels_.size());
+  for (std::size_t k = 0; k < levels_.size(); ++k)
+    fresh[k].resize(levels_[k].size());
+  int stored = 0;
+  for (std::size_t cell = 0; cell < bucket_ids_.size(); ++cell) {
+    for (const int id : bucket_ids_[cell]) {
+      const Item& item = items_[static_cast<std::size_t>(id)];
+      if (cell_of_[static_cast<std::size_t>(id)] != static_cast<int>(cell) ||
+          cell_index(item.center) != static_cast<int>(cell))
+        return false;
+      absorb_path(fresh, static_cast<int>(cell), item);
+      ++stored;
+    }
+  }
+  if (stored != size_) return false;
+  for (std::size_t k = 0; k < levels_.size(); ++k)
+    for (std::size_t i = 0; i < levels_[k].size(); ++i)
+      for (int lane = 0; lane < 4; ++lane)
+        if (!levels_[k][i].lane_equals(lane, fresh[k][i])) return false;
+
+  if (metric_ != Metric::SwitchedCap) return self_heap_.empty();
+  if (static_cast<int>(self_heap_.size()) != size_) return false;
+  for (std::size_t i = 0; i < self_heap_.size(); ++i) {
+    const auto& [s, id] = self_heap_[i];
+    if (cell_of_[static_cast<std::size_t>(id)] < 0 ||
+        self_pos_[static_cast<std::size_t>(id)] != static_cast<int>(i) ||
+        s != items_[static_cast<std::size_t>(id)].self_cost)
+      return false;
+    if (i > 0 && self_heap_[i] < self_heap_[(i - 1) / 2]) return false;
+  }
+  return true;
 }
 
 }  // namespace gcr::cts

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -26,9 +25,9 @@
 /// floored probability weight `p_floor`.
 ///
 /// Items live in a uniform bucket grid; above the grid sits a pyramid of
-/// 2x2 aggregation nodes (a quadtree built bottom-up), each carrying
-/// conservative aggregates over its subtree: the live count, the bounding
-/// box of member centers, and min self_cost / min p_floor / max reach.
+/// 2x2 aggregation nodes (a quadtree built bottom-up), each carrying exact
+/// aggregates over its subtree: the live count, the bounding box of member
+/// centers, and min self_cost / min p_floor / max reach.
 ///
 /// find_best(id) returns the *exact* (cost, partner-id) argmin over every
 /// other stored item, where the cost of a pair is whatever the caller's
@@ -73,24 +72,24 @@
 /// the right guess when cost is geometry-dominated. SwitchedCap queries
 /// additionally exploit the additive structure of the Eq. 3 bound
 /// (cost(q, j) >= self_q + self_j, the wire term is nonnegative): the
-/// index keeps all items in a (self_cost, id)-ordered set and the query
-/// prices its first few entries -- the globally cheapest selves, the right
-/// guess in the activity-floor regime where wire is nearly free and the
-/// best partner may sit anywhere on the die. A near-final incumbent before
-/// the DFS is what lets node bounds discard whole quadrants at the top of
-/// the pyramid instead of near the leaves. Per candidate a per-pair
+/// index keeps all items in a (self_cost, id) min-heap and the query
+/// prices its first few entries in order -- the globally cheapest selves,
+/// the right guess in the activity-floor regime where wire is nearly free
+/// and the best partner may sit anywhere on the die. A near-final incumbent
+/// before the DFS is what lets node bounds discard whole quadrants at the
+/// top of the pyramid instead of near the leaves. Per candidate a per-pair
 /// bound (center distance minus reaches, priced through the metric) is
 /// tried before `eval`; survivors pay the exact pair cost, which the
 /// engine computes from the closed-form balance split without touching
 /// merged-segment geometry.
 ///
-/// Aggregates are maintained *conservatively* under mutation: insert
-/// tightens them along the leaf-to-root path (running min/max, bbox
-/// growth), remove only decrements the exact live counts -- stale bounds
-/// only weaken pruning, never break it. Exactness is restored by a full
-/// rebuild whenever the population halves, which also re-derives the grid
-/// dimension from the live size, so bucket occupancy stays O(1) as the
-/// merge front shrinks.
+/// Aggregates are *exact* after every mutation: insert folds the item into
+/// each node on its leaf-to-root path (running min/max, bbox growth), and
+/// remove recomputes the leaf from its remaining bucket members and then
+/// each ancestor from its <= 4 children, so a dead member never keeps a
+/// bound loose. The full rebuild that runs whenever the population halves
+/// only re-derives the grid dimension from the live size, so bucket
+/// occupancy stays O(1) as the merge front shrinks.
 ///
 /// The structure is single-writer: insert/remove/rebuild happen on the
 /// engine's coordinating thread between scans. find_best is const and
@@ -131,11 +130,13 @@ class PartnerIndex {
     int partner{-1};
   };
 
-  /// Telemetry for one find_best call: exact evaluations paid, and
-  /// discarded pyramid nodes (all levels).
+  /// Telemetry for one find_best call: exact evaluations paid, discarded
+  /// pyramid nodes (all levels), and pyramid nodes priced (node_bound
+  /// calls, all levels).
   struct QueryStats {
     std::uint64_t evaluated{0};
     std::uint64_t bucket_skips{0};
+    std::uint64_t node_bounds{0};
   };
 
   /// `tech` must outlive the index (only wire_cap is used, and only for
@@ -153,10 +154,16 @@ class PartnerIndex {
   [[nodiscard]] int size() const { return size_; }
   [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
 
-  /// Rebuild (exact aggregates, re-derived grid dimension) when the live
-  /// population has halved since the last rebuild. Returns true when a
-  /// rebuild happened. Call between merges, never during queries.
+  /// Re-bucket every item on a grid re-derived from the live size when the
+  /// population has halved since the last rebuild (aggregates are already
+  /// exact; only the grid dimension changes). Returns true when a rebuild
+  /// happened. Call between merges, never during queries.
   bool maybe_rebuild();
+
+  /// True when every pyramid aggregate equals a from-scratch recomputation
+  /// over the stored items and the self-cost heap is a valid heap over
+  /// exactly the stored ids. An O(size + nodes) consistency check for tests.
+  [[nodiscard]] bool aggregates_exact() const;
 
   /// Exact best partner of `id` (which must be stored): the (cost,
   /// partner-id) argmin of `eval` over every other stored item, ties to
@@ -170,50 +177,117 @@ class PartnerIndex {
                                QueryStats* stats = nullptr) const;
 
  private:
-  /// One pyramid node: conservative aggregates over its subtree (level 0:
-  /// one bucket; level k: up to 2x2 nodes of level k-1). `count` is exact;
-  /// everything else only tightens on insert and resets on rebuild.
-  struct Node {
-    int count{0};
-    double min_self{std::numeric_limits<double>::infinity()};
-    double min_pf{std::numeric_limits<double>::infinity()};
-    double max_reach{0.0};
+  /// Four sibling pyramid nodes stored struct-of-arrays, one lane each, so
+  /// a descent step reads and prices a node's children in one straight
+  /// pass. Each lane holds the exact aggregates over its subtree (level 0:
+  /// one bucket; level k: the four level-(k-1) lanes of one quad). The
+  /// children of node (x, y) at level k are quad y * level_dim_[k] + x of
+  /// level k-1 (see quad_of), lane 2*(y'&1) + (x'&1) for child (x', y') --
+  /// the siblings' (y, x) order. An empty lane (including a lane past an
+  /// odd-width grid's edge, which never fills) holds the identities of its
+  /// reductions.
+  struct Quad {
+    int count[4];
+    double min_self[4];
+    double min_pf[4];
+    double max_reach[4];
     /// Delay-coefficient envelope of the members: [min_a, max_a] bounds
     /// the gap any query's a_coef must bridge by snaking; max_b bounds the
     /// faster side's linear coefficient from above (larger b = less snake,
     /// so the max is the conservative choice).
-    double min_a{std::numeric_limits<double>::infinity()};
-    double max_a{-std::numeric_limits<double>::infinity()};
-    double min_b{std::numeric_limits<double>::infinity()};
-    double max_b{0.0};
-    double bx0{0.0}, by0{0.0}, bx1{0.0}, by1{0.0};  ///< member-center bbox
-    bool bbox_set{false};
+    double min_a[4];
+    double max_a[4];
+    double min_b[4];
+    double max_b[4];
+    double bx0[4], by0[4], bx1[4], by1[4];  ///< member-center bbox
 
-    void absorb(const Item& item) {
-      ++count;
-      min_self = std::min(min_self, item.self_cost);
-      min_pf = std::min(min_pf, item.p_floor);
-      max_reach = std::max(max_reach, item.reach);
-      min_a = std::min(min_a, item.a_coef);
-      max_a = std::max(max_a, item.a_coef);
-      min_b = std::min(min_b, item.b_coef);
-      max_b = std::max(max_b, item.b_coef);
-      if (!bbox_set) {
-        bx0 = bx1 = item.center.x;
-        by0 = by1 = item.center.y;
-        bbox_set = true;
-      } else {
-        bx0 = std::min(bx0, item.center.x);
-        by0 = std::min(by0, item.center.y);
-        bx1 = std::max(bx1, item.center.x);
-        by1 = std::max(by1, item.center.y);
+    Quad() {
+      for (int k = 0; k < 4; ++k) clear(k);
+    }
+
+    void clear(int k) {
+      constexpr double inf = std::numeric_limits<double>::infinity();
+      count[k] = 0;
+      min_self[k] = min_pf[k] = min_a[k] = min_b[k] = inf;
+      max_a[k] = -inf;
+      max_reach[k] = max_b[k] = 0.0;
+      bx0[k] = by0[k] = inf;
+      bx1[k] = by1[k] = -inf;
+    }
+
+    /// Fold one member into lane k.
+    void absorb(int k, const Item& item) {
+      ++count[k];
+      min_self[k] = std::min(min_self[k], item.self_cost);
+      min_pf[k] = std::min(min_pf[k], item.p_floor);
+      max_reach[k] = std::max(max_reach[k], item.reach);
+      min_a[k] = std::min(min_a[k], item.a_coef);
+      max_a[k] = std::max(max_a[k], item.a_coef);
+      min_b[k] = std::min(min_b[k], item.b_coef);
+      max_b[k] = std::max(max_b[k], item.b_coef);
+      bx0[k] = std::min(bx0[k], item.center.x);
+      by0[k] = std::min(by0[k], item.center.y);
+      bx1[k] = std::max(bx1[k], item.center.x);
+      by1[k] = std::max(by1[k], item.center.y);
+    }
+
+    /// Set lane k to the aggregate of all four lanes of `kids`.
+    void merge(int k, const Quad& kids) {
+      clear(k);
+      for (int c = 0; c < 4; ++c) {
+        count[k] += kids.count[c];
+        min_self[k] = std::min(min_self[k], kids.min_self[c]);
+        min_pf[k] = std::min(min_pf[k], kids.min_pf[c]);
+        max_reach[k] = std::max(max_reach[k], kids.max_reach[c]);
+        min_a[k] = std::min(min_a[k], kids.min_a[c]);
+        max_a[k] = std::max(max_a[k], kids.max_a[c]);
+        min_b[k] = std::min(min_b[k], kids.min_b[c]);
+        max_b[k] = std::max(max_b[k], kids.max_b[c]);
+        bx0[k] = std::min(bx0[k], kids.bx0[c]);
+        by0[k] = std::min(by0[k], kids.by0[c]);
+        bx1[k] = std::max(bx1[k], kids.bx1[c]);
+        by1[k] = std::max(by1[k], kids.by1[c]);
       }
     }
+
+    [[nodiscard]] bool lane_equals(int k, const Quad& o) const {
+      return count[k] == o.count[k] && min_self[k] == o.min_self[k] &&
+             min_pf[k] == o.min_pf[k] && max_reach[k] == o.max_reach[k] &&
+             min_a[k] == o.min_a[k] && max_a[k] == o.max_a[k] &&
+             min_b[k] == o.min_b[k] && max_b[k] == o.max_b[k] &&
+             bx0[k] == o.bx0[k] && by0[k] == o.by0[k] &&
+             bx1[k] == o.bx1[k] && by1[k] == o.by1[k];
+    }
   };
+
+  /// Bound on the pyramid height (sizes the descent stack): the grid
+  /// dimension never exceeds sqrt(INT_MAX / 2) < 2^15, and each level
+  /// halves it (ceil) until 1x1.
+  static constexpr int kMaxLevels = 16;
 
   void bucket_insert(int id, const Item& item);
   void rebuild();
   void build_levels();
+  void self_push(int id, double self_cost);
+  void self_erase(int id);
+  void self_sift_up(int i);
+  void self_sift_down(int i);
+  void self_place(int i, const std::pair<double, int>& e) {
+    self_heap_[static_cast<std::size_t>(i)] = e;
+    self_pos_[static_cast<std::size_t>(e.second)] = i;
+  }
+  /// The quad holding node (x, y) of level k (its lane is lane_of(x, y)).
+  [[nodiscard]] std::size_t quad_of(std::size_t k, int x, int y) const {
+    return static_cast<std::size_t>(y >> 1) * level_dim_[k + 1] +
+           static_cast<std::size_t>(x >> 1);
+  }
+  [[nodiscard]] static int lane_of(int x, int y) {
+    return ((y & 1) << 1) | (x & 1);
+  }
+  /// Fold `item` into every node on the path from bucket `cell` to the
+  /// root.
+  void absorb_path(std::vector<std::vector<Quad>>& levels, int cell,
+                   const Item& item) const;
   [[nodiscard]] int cell_index(const geom::Point& c) const;
 
   /// Lower bound on cost(query, j) given a lower bound `d` on the
@@ -237,8 +311,8 @@ class PartnerIndex {
            kSlack;
   }
 
-  /// The node's priced lower bound against query item `q` (see file
-  /// comment); infinity for an empty subtree. The per-side wire floors
+  /// The priced lower bound of node `k` of quad `n` against query item `q`
+  /// (see file comment); the node must be nonempty. The per-side wire floors
   /// come from the balance point's monotonicity: at fixed distance it is
   /// increasing in the partner's `a` and a monotone Mobius function of the
   /// partner's `b`, so its range over the node's coefficient envelope is
@@ -248,31 +322,33 @@ class PartnerIndex {
   /// (ct::merge_wire_total with the envelope-nearest `a` and max_b), and
   /// the slack between the total and the two per-side floors is priced at
   /// min(p_floor) -- a tiny LP solved in closed form.
-  [[nodiscard]] double node_bound(const Item& q, const Node& n) const {
-    if (n.count == 0) return std::numeric_limits<double>::infinity();
-    const double d_rect = rect_dist(q.center, n.bx0, n.by0, n.bx1, n.by1);
-    const double d = std::max(0.0, d_rect - q.reach - n.max_reach);
+  [[nodiscard]] double node_bound(const Item& q, const Quad& n, int k) const {
+    const double d_rect =
+        rect_dist(q.center, n.bx0[k], n.by0[k], n.bx1[k], n.by1[k]);
+    const double d = std::max(0.0, d_rect - q.reach - n.max_reach[k]);
     if (metric_ == Metric::Distance) return d * kSlack;
     const ct::BranchCoeffs qc{q.a_coef, q.b_coef};
     const double total_lb = ct::merge_wire_total(
-        qc, {std::clamp(q.a_coef, n.min_a, n.max_a), n.max_b}, d, rc_);
+        qc, {std::clamp(q.a_coef, n.min_a[k], n.max_a[k]), n.max_b[k]}, d,
+        rc_);
     // When the query itself carries the floor weight, the per-side refine
     // cannot beat pricing the whole span at p_floor_q -- and this is the
     // common case (most queries sit at the activity floor), so it skips
     // the corner divisions entirely.
-    if (q.p_floor <= n.min_pf)
-      return (q.self_cost + n.min_self +
+    if (q.p_floor <= n.min_pf[k])
+      return (q.self_cost + n.min_self[k] +
               tech_->wire_cap(total_lb) * q.p_floor) *
              kSlack;
-    const double len_a_lb = std::clamp(min_balance_point(qc, n, d), 0.0, d);
+    const double len_a_lb =
+        std::clamp(min_balance_point(qc, n, k, d), 0.0, d);
     const double len_b_lb =
-        std::clamp(d - max_balance_point(qc, n, d), 0.0, d);
+        std::clamp(d - max_balance_point(qc, n, k, d), 0.0, d);
     const double extra =
         std::max(0.0, total_lb - len_a_lb - len_b_lb);
-    return (q.self_cost + n.min_self +
+    return (q.self_cost + n.min_self[k] +
             tech_->wire_cap(len_a_lb) * q.p_floor +
-            tech_->wire_cap(len_b_lb) * n.min_pf +
-            tech_->wire_cap(extra) * std::min(q.p_floor, n.min_pf)) *
+            tech_->wire_cap(len_b_lb) * n.min_pf[k] +
+            tech_->wire_cap(extra) * std::min(q.p_floor, n.min_pf[k])) *
            kSlack;
   }
 
@@ -285,28 +361,32 @@ class PartnerIndex {
   /// degenerate all-nonpositive-denominator case falls back to
   /// balance_point's even split.
   [[nodiscard]] double min_balance_point(const ct::BranchCoeffs& qc,
-                                         const Node& n, double d) const {
-    const double base = n.min_a - qc.a + 0.5 * rc_ * d * d;
-    const double n1 = base + d * n.min_b;
-    const double n2 = base + d * n.max_b;
-    const double d1 = qc.b + n.min_b + rc_ * d;
-    const double d2 = qc.b + n.max_b + rc_ * d;
+                                         const Quad& n, int k,
+                                         double d) const {
+    const double base = n.min_a[k] - qc.a + 0.5 * rc_ * d * d;
+    const double n1 = base + d * n.min_b[k];
+    const double n2 = base + d * n.max_b[k];
+    const double d1 = qc.b + n.min_b[k] + rc_ * d;
+    const double d2 = qc.b + n.max_b[k] + rc_ * d;
     if (d1 <= 0.0)
-      return std::min(ct::balance_point(qc, {n.min_a, n.min_b}, d, rc_),
-                      ct::balance_point(qc, {n.min_a, n.max_b}, d, rc_));
+      return std::min(
+          ct::balance_point(qc, {n.min_a[k], n.min_b[k]}, d, rc_),
+          ct::balance_point(qc, {n.min_a[k], n.max_b[k]}, d, rc_));
     return n1 * d2 <= n2 * d1 ? n1 / d1 : n2 / d2;
   }
 
   [[nodiscard]] double max_balance_point(const ct::BranchCoeffs& qc,
-                                         const Node& n, double d) const {
-    const double base = n.max_a - qc.a + 0.5 * rc_ * d * d;
-    const double n1 = base + d * n.min_b;
-    const double n2 = base + d * n.max_b;
-    const double d1 = qc.b + n.min_b + rc_ * d;
-    const double d2 = qc.b + n.max_b + rc_ * d;
+                                         const Quad& n, int k,
+                                         double d) const {
+    const double base = n.max_a[k] - qc.a + 0.5 * rc_ * d * d;
+    const double n1 = base + d * n.min_b[k];
+    const double n2 = base + d * n.max_b[k];
+    const double d1 = qc.b + n.min_b[k] + rc_ * d;
+    const double d2 = qc.b + n.max_b[k] + rc_ * d;
     if (d1 <= 0.0)
-      return std::max(ct::balance_point(qc, {n.max_a, n.min_b}, d, rc_),
-                      ct::balance_point(qc, {n.max_a, n.max_b}, d, rc_));
+      return std::max(
+          ct::balance_point(qc, {n.max_a[k], n.min_b[k]}, d, rc_),
+          ct::balance_point(qc, {n.max_a[k], n.max_b[k]}, d, rc_));
     return n1 * d2 >= n2 * d1 ? n1 / d1 : n2 / d2;
   }
 
@@ -340,17 +420,21 @@ class PartnerIndex {
   std::uint64_t rebuilds_{0};
   double xlo_{0.0}, ylo_{0.0}, w_{1.0}, h_{1.0};
   std::vector<std::vector<int>> bucket_ids_;  ///< level-0 member lists
-  /// levels_[0] aligns with bucket_ids_ (dim_ x dim_); each higher level
-  /// halves the dimension (ceil) until 1x1. level_dim_[k] is its width.
-  std::vector<std::vector<Node>> levels_;
+  /// levels_[k] holds the level-k nodes (dim_ x dim_ at level 0, each
+  /// higher level halving the dimension, ceil, until 1x1), four to a quad
+  /// (see Quad); levels_.back() is the root's quad (lane 0).
+  /// level_dim_[k] is level k's width, with a trailing 1 above the root.
+  std::vector<std::vector<Quad>> levels_;
   std::vector<int> level_dim_;
   std::vector<Item> items_;   ///< node id -> item (valid while stored)
   std::vector<int> cell_of_;  ///< node id -> level-0 cell (-1 when absent)
-  /// All stored items ordered by (self_cost, id) -- the SwitchedCap
-  /// query's incumbent-seed order (first kSelfSeeds entries). Exact under
-  /// mutation (erase on remove), so it needs no rebuild; empty for
-  /// Metric::Distance.
-  std::set<std::pair<double, int>> self_order_;
+  /// All stored items as a binary min-heap on (self_cost, id) -- the
+  /// SwitchedCap query walks its first kSelfSeeds entries in order for the
+  /// incumbent seeds. Exact under mutation (erase on remove), so it needs
+  /// no rebuild; empty for Metric::Distance. self_pos_[id] is the id's
+  /// heap slot (-1 when absent).
+  std::vector<std::pair<double, int>> self_heap_;
+  std::vector<int> self_pos_;
 };
 
 template <class Eval>
@@ -392,13 +476,30 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   // and what arms the eval callback's own exact-geometry bound from the
   // first leaf scans.
   const int qcell = cell_of_[static_cast<std::size_t>(id)];
-  const int qx = qcell % dim_;
-  const int qy = qcell / dim_;
   for (const int j : bucket_ids_[static_cast<std::size_t>(qcell)])
     consider(j);
-  if (metric_ == Metric::SwitchedCap) {
+  if (metric_ == Metric::SwitchedCap && !self_heap_.empty()) {
+    // Walk the heap in (self_cost, id) order: a best-first frontier over
+    // heap slots, kept sorted descending so the next entry is at the back.
+    // Each step pops one slot and pushes at most its two children, and the
+    // walk stops within kSelfSeeds + 2 steps.
+    int frontier[kSelfSeeds + 4];
+    int nf = 0;
+    frontier[nf++] = 0;
+    const int heap_size = static_cast<int>(self_heap_.size());
     int seeds = kSelfSeeds;
-    for (const auto& [s, j] : self_order_) {
+    while (nf > 0) {
+      const int i = frontier[--nf];
+      const auto [s, j] = self_heap_[static_cast<std::size_t>(i)];
+      for (int c = 2 * i + 1; c <= 2 * i + 2 && c < heap_size; ++c) {
+        int at = nf++;
+        for (; at > 0 && self_heap_[static_cast<std::size_t>(
+                             frontier[at - 1])] <
+                             self_heap_[static_cast<std::size_t>(c)];
+             --at)
+          frontier[at] = frontier[at - 1];
+        frontier[at] = c;
+      }
       if (j == id) continue;
       // The walk doubles as an exact cutoff: cost(q, j') >= self_q +
       // self_j' for every later j', so once that exceeds the incumbent the
@@ -410,55 +511,64 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
     }
   }
 
-  // Best-first DFS: recurse into the cheapest child first so the incumbent
-  // tightens early; re-test each node's bound at expansion time because
-  // the incumbent may have improved since it was computed.
+  // Best-first DFS over an explicit stack: expand the cheapest child first
+  // so the incumbent tightens early; re-test each node's bound when it is
+  // popped because the incumbent may have improved since it was computed.
+  // The root is always expanded.
   struct Visit {
     double bound;
     int level;
     int x, y;
   };
-  const auto descend = [&](const auto& self, int level, int x, int y) -> void {
-    if (level == 0) {
-      if (x == qx && y == qy) return;  // seeded above
-      for (const int j : bucket_ids_[static_cast<std::size_t>(y) * dim_ + x])
-        consider(j);
-      return;
+  Visit stack[3 * kMaxLevels + 1];
+  int depth = 0;
+  stack[depth++] = {-std::numeric_limits<double>::infinity(),
+                    static_cast<int>(levels_.size()) - 1, 0, 0};
+  std::uint64_t node_bounds = 0;
+  while (depth > 0) {
+    const Visit v = stack[--depth];
+    if (best.partner >= 0 && v.bound > best.cost) {
+      ++node_skips;
+      continue;
     }
-    const int cdim = level_dim_[static_cast<std::size_t>(level - 1)];
+    if (v.level == 0) {
+      const int cell = v.y * dim_ + v.x;
+      if (cell == qcell) continue;  // seeded above
+      for (const int j : bucket_ids_[static_cast<std::size_t>(cell)])
+        consider(j);
+      continue;
+    }
+    // Price the nonempty children in one pass, insertion-sorted by bound;
+    // ties keep lane order, i.e. (y, x). A child already strictly
+    // dominated is discarded here instead of when popped -- the incumbent
+    // only improves, so the pop would discard it too.
+    const std::size_t level = static_cast<std::size_t>(v.level);
+    const Quad& c =
+        levels_[level - 1][static_cast<std::size_t>(v.y) * level_dim_[level] +
+                           static_cast<std::size_t>(v.x)];
     Visit kids[4];
     int nk = 0;
-    for (int dy = 0; dy < 2; ++dy) {
-      for (int dx = 0; dx < 2; ++dx) {
-        const int cx = 2 * x + dx;
-        const int cy = 2 * y + dy;
-        if (cx >= cdim || cy >= cdim) continue;
-        const Node& c =
-            levels_[static_cast<std::size_t>(level - 1)]
-                   [static_cast<std::size_t>(cy) * cdim + cx];
-        if (c.count == 0) continue;
-        kids[nk++] = {node_bound(q, c), level - 1, cx, cy};
-      }
-    }
-    std::sort(kids, kids + nk, [](const Visit& a, const Visit& b) {
-      if (a.bound != b.bound) return a.bound < b.bound;
-      return a.y != b.y ? a.y < b.y : a.x < b.x;
-    });
-    for (int k = 0; k < nk; ++k) {
-      if (best.partner >= 0 && kids[k].bound > best.cost) {
+    for (int k = 0; k < 4; ++k) {
+      if (c.count[k] == 0) continue;
+      const Visit kid{node_bound(q, c, k), v.level - 1, 2 * v.x + (k & 1),
+                      2 * v.y + (k >> 1)};
+      ++node_bounds;
+      if (best.partner >= 0 && kid.bound > best.cost) {
         ++node_skips;
         continue;
       }
-      self(self, kids[k].level, kids[k].x, kids[k].y);
+      int at = nk++;
+      for (; at > 0 && kid.bound < kids[at - 1].bound; --at)
+        kids[at] = kids[at - 1];
+      kids[at] = kid;
     }
-  };
-
-  const int top = static_cast<int>(levels_.size()) - 1;
-  descend(descend, top, 0, 0);
+    while (nk > 0) stack[depth++] = kids[--nk];
+  }
 
   if (stats != nullptr) {
     stats->evaluated += evaluated;
     stats->bucket_skips += node_skips;
+    stats->node_bounds += node_bounds;
   }
   return best;
 }

@@ -5,6 +5,7 @@
 #include "clocktree/elmore.h"
 #include "clocktree/embed.h"
 #include "cts/greedy.h"
+#include "obs/metrics.h"
 
 namespace gcr::cts {
 namespace {
@@ -285,8 +286,18 @@ TEST(Greedy, IndexedMatchesExhaustiveOnWorkloadDesign) {
   // A benchmark-style design large enough that most partners are found
   // deep in the index, against the plain exhaustive rescan.
   const auto inst = Instance::make(1024, 15);
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
   expect_index_matches_exhaustive(inst.bench.sinks, &inst.analyzer,
                                   MergeCost::SwitchedCapacitance);
+  // The pruning work is deterministic, so pin it: stale (merely
+  // conservative) index aggregates keep the tree exact but price far more
+  // pyramid nodes, which only this counter shows. Measured: 240,812.
+  const std::uint64_t node_bounds =
+      obs::Registry::global().counter("cts.index_node_bounds").value();
+  obs::set_metrics_enabled(false);
+  EXPECT_GT(node_bounds, 0u);
+  EXPECT_LE(node_bounds, 240812u * 11 / 10);
   expect_index_matches_exhaustive(inst.bench.sinks, nullptr,
                                   MergeCost::NearestNeighbor);
 }

@@ -19,7 +19,10 @@
 /// (cost, smallest-partner-id) argmin that a brute-force O(front^2) scan
 /// over all stored items computes. This is the index's whole contract --
 /// the greedy engine stays bit-identical to the exhaustive rescan only
-/// because the query never misses a minimum and never loses a tie.
+/// because the query never misses a minimum and never loses a tie. After
+/// every step the pyramid aggregates must also equal a from-scratch
+/// recomputation: a stale (merely conservative) bound stays exact but
+/// prunes less, so only this check catches it.
 
 namespace gcr {
 namespace {
@@ -210,6 +213,7 @@ void run_sequence(cts::PartnerIndex::Metric metric, std::uint64_t seed,
       m.insert(random_item(rng, side, quantized));
     }
     ASSERT_EQ(m.index.size(), static_cast<int>(m.live.size()));
+    ASSERT_TRUE(m.index.aggregates_exact()) << "step " << step;
 
     // Exactness after *every* step, on a handful of random live ids.
     if (!m.live.empty()) {
@@ -277,6 +281,7 @@ void run_eco_churn(cts::PartnerIndex::Metric metric, std::uint64_t seed,
       m.insert(random_item(rng, side, quantized));
     }
     ASSERT_EQ(m.index.size(), static_cast<int>(m.live.size()));
+    ASSERT_TRUE(m.index.aggregates_exact()) << "step " << step;
     if (!m.live.empty()) {
       std::uniform_int_distribution<std::size_t> pick(0, m.live.size() - 1);
       for (int k = 0; k < 3; ++k) expect_exact(m, m.live[pick(rng)]);
