@@ -8,8 +8,7 @@
 #include "cts/partner_index.h"
 #include "guard/deadline.h"
 #include "obs/metrics.h"
-#include "obs/session.h"
-#include "prof/flightrec.h"
+#include "prof/recorder.h"
 
 namespace gcr::cts {
 
@@ -152,7 +151,6 @@ class GreedyEngine {
 
   BuildResult run() {
     const int n = topo_.num_leaves();
-    obs::TraceSink* trace = obs::active_trace();
     // Hoisted: the ambient deadline cannot change during the run, and the
     // poll sits between merges -- a merge either happens completely or
     // not at all.
@@ -166,10 +164,13 @@ class GreedyEngine {
     for (int step = 0; step + 1 < n; ++step) {
       if (dl != nullptr && dl->expired()) throw guard::CancelledError("topology");
       const Pick pick = indexed_ ? pick_min_pair_indexed() : pick_min_pair();
-      if (trace) trace_merge_decision(*trace, pick);
+      prof::Event ev = prof::event(prof::Ev::Merge);
+      ev.a = pick.a;
+      ev.b = pick.b;
+      ev.x = pick.cost;
+      if (prof::capturing()) add_runner_up(ev, pick);
+      prof::record(ev);
       merge(pick.a, pick.b);
-      if (prof::recorder_enabled())
-        prof::record(prof::Ev::Merge, "merge", pick.a, pick.b, pick.cost);
       if (obs::metrics_enabled()) [[unlikely]] {
         static obs::Counter& c = obs::Registry::global().counter("cts.merges");
         c.inc();
@@ -290,7 +291,7 @@ class GreedyEngine {
     bp.stale = false;
     best_[static_cast<std::size_t>(i)] = bp;
     const auto evaluated = static_cast<std::uint64_t>(active_.size() - 1);
-    trace_recompute(i, bp, evaluated);
+    record_recompute(i, bp, evaluated);
     count_recompute(evaluated);
   }
 
@@ -303,28 +304,18 @@ class GreedyEngine {
     count_evals(evaluated);
   }
 
-  /// One instant event per best-partner recompute. Engines running inside
-  /// the clustered builder's per-cell fan-out execute on pool workers; the
-  /// event still reaches the sink because workers carry the session
-  /// binding (Session::WorkerViewTag in par::ThreadPool) -- without it,
-  /// active_trace() is null on a pool thread and the decision is lost.
-  static void trace_recompute(int i, const BestPartner& bp,
-                              std::uint64_t evaluated) {
-    if (obs::TraceSink* trace = obs::active_trace()) {
-      obs::Session* s = obs::current();
-      obs::TraceEvent e;
-      e.name = "recompute";
-      e.cat = "cts";
-      e.ph = 'i';
-      e.ts_us = s != nullptr ? s->now_us() : 0.0;
-      e.args.push_back(obs::TraceArg::num("node", static_cast<long long>(i)));
-      e.args.push_back(
-          obs::TraceArg::num("partner", static_cast<long long>(bp.partner)));
-      e.args.push_back(obs::TraceArg::num("cost", bp.cost));
-      e.args.push_back(obs::TraceArg::num(
-          "evaluated", static_cast<long long>(evaluated)));
-      trace->event(std::move(e));
-    }
+  /// One capture-only event per best-partner recompute, recorded on
+  /// whichever thread runs the engine (pool workers, for the clustered
+  /// builder's per-cell builds).
+  static void record_recompute(int i, const BestPartner& bp,
+                               std::uint64_t evaluated) {
+    if (!prof::capturing()) return;
+    prof::Event e = prof::event(prof::Ev::Recompute);
+    e.a = i;
+    e.b = bp.partner;
+    e.x = bp.cost;
+    e.n = static_cast<std::uint32_t>(evaluated);
+    prof::record(e);
   }
 
   /// Recompute best_[i] through the partner index: the exact (cost,
@@ -345,7 +336,7 @@ class GreedyEngine {
         &qs);
     BestPartner bp{fb.cost, fb.partner, false};
     best_[static_cast<std::size_t>(i)] = bp;
-    trace_recompute(i, bp, qs.evaluated);
+    record_recompute(i, bp, qs.evaluated);
     count_recompute(qs.evaluated);
     if (obs::metrics_enabled()) [[unlikely]] {
       static obs::Counter& queries =
@@ -480,13 +471,12 @@ class GreedyEngine {
     activate(id);
   }
 
-  /// One instant event per Eq. 3 decision: the chosen pair, its
-  /// switched-cap delta, the runner-up (cheapest alternative merge, i.e.
-  /// the best pair that is not the chosen one or its mirror), and the
-  /// current front size. The indexed engine defers repairs, so entries
-  /// whose partner has died are skipped -- the runner-up is best-effort
-  /// there, never a dead pair.
-  void trace_merge_decision(obs::TraceSink& trace, const Pick& pick) const {
+  /// The capture-only part of a merge event: the runner-up (cheapest
+  /// alternative merge, i.e. the best pair that is not the chosen one or
+  /// its mirror) and the current front size. The indexed engine defers
+  /// repairs, so entries whose partner has died are skipped -- the
+  /// runner-up is best-effort there, never a dead pair.
+  void add_runner_up(prof::Event& e, const Pick& pick) const {
     int ru = -1;
     double ru_cost = std::numeric_limits<double>::infinity();
     for (const int i : active_) {
@@ -501,26 +491,10 @@ class GreedyEngine {
         ru = i;
       }
     }
-    obs::Session* s = obs::current();
-    obs::TraceEvent e;
-    e.name = "merge";
-    e.cat = "cts";
-    e.ph = 'i';
-    e.ts_us = s ? s->now_us() : 0.0;
-    e.args.push_back(obs::TraceArg::num("a", static_cast<long long>(pick.a)));
-    e.args.push_back(obs::TraceArg::num("b", static_cast<long long>(pick.b)));
-    e.args.push_back(obs::TraceArg::num("cost", pick.cost));
-    if (ru >= 0) {
-      e.args.push_back(obs::TraceArg::num("runner_up_a",
-                                          static_cast<long long>(ru)));
-      e.args.push_back(obs::TraceArg::num(
-          "runner_up_b",
-          static_cast<long long>(best_[static_cast<std::size_t>(ru)].partner)));
-      e.args.push_back(obs::TraceArg::num("runner_up_cost", ru_cost));
-    }
-    e.args.push_back(obs::TraceArg::num(
-        "front", static_cast<long long>(active_.size())));
-    trace.event(std::move(e));
+    e.c = ru;
+    e.d = ru >= 0 ? best_[static_cast<std::size_t>(ru)].partner : -1;
+    e.y = ru_cost;
+    e.n = static_cast<std::uint32_t>(active_.size());
   }
 
   void merge(int a, int b) {

@@ -3,8 +3,8 @@
 #include <cassert>
 
 #include "obs/metrics.h"
-#include "obs/session.h"
 #include "obs/timer.h"
+#include "prof/recorder.h"
 
 namespace gcr::gating {
 
@@ -38,7 +38,6 @@ std::vector<bool> reduce_pass(const ct::RoutedTree& fully_gated,
                               const std::vector<bool>* in_cone,
                               const std::vector<bool>* prev_gated) {
   const obs::ScopedTimer obs_timer("reduce");
-  obs::TraceSink* trace = obs::active_trace();
   std::uint64_t removed = 0, forced = 0;
 
   const int n = fully_gated.num_nodes();
@@ -93,22 +92,17 @@ std::vector<bool> reduce_pass(const ct::RoutedTree& fully_gated,
 
     removed += remove ? 1 : 0;
     forced += force ? 1 : 0;
-    if (trace && !scoped_out) {
-      obs::Session* s = obs::current();
-      obs::TraceEvent e;
-      e.name = "reduce";
-      e.cat = "reduction";
-      e.ph = 'i';
-      e.ts_us = s ? s->now_us() : 0.0;
-      e.args.push_back(obs::TraceArg::num("node", static_cast<long long>(id)));
-      e.args.push_back(obs::TraceArg::num("p_en", p));
-      e.args.push_back(obs::TraceArg::num("edge_swcap", edge_swcap));
-      e.args.push_back(obs::TraceArg::boolean("rule_activity", rule1));
-      e.args.push_back(obs::TraceArg::boolean("rule_swcap", rule2));
-      e.args.push_back(obs::TraceArg::boolean("rule_parent", rule3));
-      e.args.push_back(obs::TraceArg::boolean("forced_insertion", force));
-      e.args.push_back(obs::TraceArg::boolean("removed", remove));
-      trace->event(std::move(e));
+    if (!scoped_out && prof::capturing()) {
+      prof::Event e = prof::event(prof::Ev::Reduce);
+      e.a = id;
+      e.x = p;
+      e.y = edge_swcap;
+      e.flags = (rule1 ? prof::kRuleActivity : 0) |
+                (rule2 ? prof::kRuleSwcap : 0) |
+                (rule3 ? prof::kRuleParent : 0) |
+                (force ? prof::kForcedInsertion : 0) |
+                (remove ? prof::kRemoved : 0);
+      prof::record(e);
     }
   }
 

@@ -1,6 +1,6 @@
 #include "guard/deadline.h"
 
-#include "prof/flightrec.h"
+#include "prof/recorder.h"
 
 namespace gcr::guard {
 
@@ -21,11 +21,10 @@ void poll_deadline(const char* phase) {
   // Only *limited* polls are flight-recorded: they are the deterministic
   // abort points a post-mortem needs, and unlimited runs stay quiet.
   if (t_deadline->expired()) {
-    if (prof::recorder_enabled())
-      prof::record(prof::Ev::DeadlineExpired, phase);
+    prof::record(prof::Ev::DeadlineExpired, phase);
     throw CancelledError(phase);
   }
-  if (prof::recorder_enabled()) prof::record(prof::Ev::DeadlinePoll, phase);
+  prof::record(prof::Ev::DeadlinePoll, phase);
 }
 
 }  // namespace gcr::guard

@@ -4,7 +4,7 @@
 #include <ios>
 #include <utility>
 
-#include "prof/flightrec.h"
+#include "prof/recorder.h"
 
 namespace gcr::guard {
 
@@ -56,9 +56,7 @@ bool FaultInjector::should_inject(const char* site) {
   if (fire) {
     fired_.fetch_add(1, std::memory_order_relaxed);
     last_site_.store(site, std::memory_order_relaxed);
-    if (prof::recorder_enabled())
-      prof::record(prof::Ev::FaultHit, site,
-                   static_cast<std::int64_t>(visit));
+    prof::record(prof::Ev::FaultHit, site, static_cast<std::int64_t>(visit));
   }
   return fire;
 }

@@ -6,9 +6,8 @@
 
 #include <cstring>
 #include <exception>
-#include <fstream>
 
-#include "prof/flightrec.h"
+#include "prof/recorder.h"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
@@ -24,15 +23,18 @@ namespace {
 
 char g_crash_path[256] = {0};
 
+/// Async-signal-safe: open(2)/write(2) only, no allocation, no locks.
+bool dump_to(const char* path, bool crash) {
+  const int fd = open(path, O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  const bool ok = prof::write_flight_record_fd(fd, crash);
+  return close(fd) == 0 && ok;
+}
+
 #if !defined(GCR_UNDER_SANITIZER)
 
 extern "C" void crash_signal_handler(int sig) {
-  // Async-signal context: open(2)/write(2) only, no allocation, no locks.
-  const int fd = open(g_crash_path, O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd >= 0) {
-    prof::write_flight_record_fd(fd);
-    close(fd);
-  }
+  (void)dump_to(g_crash_path, true);
   // Restore the default disposition and re-raise so the process still dies
   // with the original signal (core dumps, CI failure detection).
   signal(sig, SIG_DFL);
@@ -40,11 +42,7 @@ extern "C" void crash_signal_handler(int sig) {
 }
 
 void terminate_dump() {
-  const int fd = open(g_crash_path, O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd >= 0) {
-    prof::write_flight_record_fd(fd);
-    close(fd);
-  }
+  (void)dump_to(g_crash_path, true);
   std::abort();
 }
 
@@ -53,10 +51,7 @@ void terminate_dump() {
 }  // namespace
 
 bool postmortem_dump(const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  prof::write_flight_record(os);
-  return os.good();
+  return dump_to(path.c_str(), false);
 }
 
 void install_postmortem(const std::string& path) {

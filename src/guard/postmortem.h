@@ -4,10 +4,11 @@
 
 /// \file postmortem.h
 /// gcr::guard glue between the structured-diagnostics layer and the
-/// gcr::prof flight recorder (prof/flightrec.h).
+/// gcr::prof event recorder (prof/recorder.h).
 ///
-/// The recorder is default-on and always holds the last-N events per
-/// thread; this file decides *when that tail gets written to disk*:
+/// The recorder is always on and holds the last-N events per thread; this
+/// file decides *when that tail gets written to disk*, always through the
+/// one signal-safe `gcr.flight_record` writer:
 ///
 ///   * `postmortem_dump(path)` -- explicit dump, used by the CLIs on
 ///     deadline expiry and other non-zero exits, and by the gcr_check

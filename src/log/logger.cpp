@@ -15,9 +15,8 @@
 #include "log/ring.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/phasestack.h"
-#include "obs/trace.h"
 #include "par/pool.h"
+#include "prof/recorder.h"
 
 namespace gcr::log {
 
@@ -309,10 +308,6 @@ bool Logger::init(Options opts) {
   }
   if (im.opts.extra_sink) im.sinks.push_back(std::move(im.opts.extra_sink));
 
-  // Phase paths come from the same per-thread shadow the sampling
-  // profiler reads; publishing is a bounded name copy per ScopedTimer.
-  obs::set_shadow_enabled(true);
-
   im.drain = std::thread([this] { impl_->drain_loop(); });
   detail::g_runtime_level = static_cast<int>(im.opts.level);
   detail::g_log_on = true;
@@ -335,7 +330,7 @@ void Logger::shutdown() {
       Record r;
       r.level = Level::Warn;
       r.name = "log.suppressed";
-      r.tid = obs::trace_tid();
+      r.tid = prof::thread_ordinal();
       r.t_ms = im.now_ms();
       r.wall_ns = wall_now_ns();
       r.data = "\"event\":" + obs::json::quote(name) +
@@ -352,7 +347,7 @@ void Logger::shutdown() {
     Record r;
     r.level = Level::Warn;
     r.name = "log.dropped";
-    r.tid = obs::trace_tid();
+    r.tid = prof::thread_ordinal();
     r.t_ms = im.now_ms();
     r.wall_ns = wall_now_ns();
     r.data = "\"count\":" + std::to_string(drops);
@@ -480,11 +475,11 @@ EventBuilder::EventBuilder(Level level, std::string_view name) {
   admitted_ = true;
   rec_.level = level;
   rec_.suppressed = carry;
-  rec_.tid = obs::trace_tid();
+  rec_.tid = prof::thread_ordinal();
   rec_.worker = par::worker_ordinal();
   rec_.t_ms = lg.now_ms();
   rec_.wall_ns = wall_now_ns();
-  rec_.phase = obs::current_phase_path();
+  rec_.phase = prof::current_phase_path();
 }
 
 EventBuilder::~EventBuilder() {

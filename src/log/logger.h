@@ -13,9 +13,9 @@
 ///
 /// Every emission is a schema-versioned `gcr.event` v1 record: monotonic
 /// and wall-clock timestamps, the run id, the emitting thread's open phase
-/// path (from the obs phasestack shadow), thread and pool-worker ordinals,
-/// a stable dot-separated event name and a key-value payload. Call sites
-/// use the GCR_LOG_* macros:
+/// path and thread ordinal (both from the event recorder), the pool-worker
+/// ordinal, a stable dot-separated event name and a key-value payload.
+/// Call sites use the GCR_LOG_* macros:
 ///
 ///   GCR_LOG_EVENT(gcr::log::Level::Info, "route.done")
 ///       .kv("sinks", n).kv("swcap_pf", w);
@@ -75,7 +75,7 @@ struct Record {
   Level level{Level::Info};
   std::string name;         ///< stable event name ("route.done")
   std::string phase;        ///< open phase path "route/topology" ("" = none)
-  int tid{0};               ///< obs::trace_tid() ordinal
+  std::uint32_t tid{0};     ///< prof::thread_ordinal()
   int worker{0};            ///< par::worker_ordinal(); 0 = not a pool worker
   double t_ms{0.0};         ///< monotonic ms since logger init
   std::int64_t wall_ns{0};  ///< wall clock, ns since the Unix epoch
@@ -167,9 +167,9 @@ class Logger {
 
   /// Install sinks, start the drain thread and open the gate. Idempotent
   /// while running (a second init is ignored); re-init after shutdown()
-  /// is supported (tests). Enables obs phase-shadow publishing so events
-  /// carry phase paths. Returns false when `json_path` was set but could
-  /// not be opened (the logger still starts with the remaining sinks).
+  /// is supported (tests). Returns false when `json_path` was set but
+  /// could not be opened (the logger still starts with the remaining
+  /// sinks).
   bool init(Options opts);
 
   /// Drain everything, emit the per-name suppression summary, join the

@@ -11,7 +11,7 @@
 
 /// \file json.h
 /// Minimal streaming JSON writer, a syntax validator, and a small DOM
-/// parser, shared by the trace exporter, the run-report writer and the
+/// parser, shared by the run-report writer, the report validators and the
 /// bench-report diff tool. Zero dependencies: the observability layer must
 /// not pull a JSON library into the core build.
 ///

@@ -3,23 +3,21 @@
 #include <chrono>
 
 #include "obs/timer.h"
-#include "obs/trace.h"
 
 /// \file session.h
-/// A `Session` is one observed run: it owns the phase-timing tree, carries
-/// the (optional, non-owned) trace sink, and fixes the time epoch trace
-/// timestamps are relative to. Metrics stay in the process-global
-/// `Registry` (see metrics.h); a session does not duplicate them.
+/// A `Session` is one observed run: it owns the phase-timing tree and fixes
+/// the time epoch phase timings are relative to. Metrics stay in the
+/// process-global `Registry` (see metrics.h) and recorded events in the
+/// per-thread recorder (prof/recorder.h, whose `Capture` is the Chrome
+/// trace); a session duplicates neither.
 ///
 /// Instrumented library code never receives a session explicitly -- the
 /// caller binds one to the current thread around the work:
 ///
 ///   obs::Session session;
-///   obs::MemoryTraceSink trace;
-///   session.set_trace(&trace);
 ///   {
 ///     obs::Bind bind(&session);
-///     ... construct router, route ...   // timers/trace land in `session`
+///     ... construct router, route ...   // timers land in `session`
 ///   }
 ///   obs::write_run_report(os, opts, result, session);
 ///
@@ -36,25 +34,19 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Pool-worker view of `parent`: shares its time epoch and trace sink
-  /// (sinks are thread-safe; see trace.h) but owns an independent phase
-  /// tree, because PhaseTimers is single-threaded by construction.
-  /// `par::ThreadPool` binds one of these on each worker for the duration
-  /// of a job, so trace events emitted inside worker chunks land in the
-  /// run's sink with timestamps on the parent's axis instead of being
-  /// silently dropped. Worker-side ScopedTimers aggregate into the view
-  /// and are discarded with it -- per-worker *time* attribution is the
-  /// pool telemetry's job (par::PoolTelemetry), not the phase tree's.
+  /// Pool-worker view of `parent`: shares its time epoch but owns an
+  /// independent phase tree, because PhaseTimers is single-threaded by
+  /// construction. `par::ThreadPool` binds one of these on each worker for
+  /// the duration of a job, so ScopedTimers inside worker chunks still
+  /// record their phases (for the trace, the sampler and the log's phase
+  /// path) instead of being no-ops. Worker-side phase trees are discarded
+  /// with the view -- per-worker *time* attribution is the pool
+  /// telemetry's job (par::PoolTelemetry), not the phase tree's.
   struct WorkerViewTag {};
-  Session(WorkerViewTag, const Session& parent)
-      : epoch_(parent.epoch_), trace_(parent.trace_) {}
+  Session(WorkerViewTag, const Session& parent) : epoch_(parent.epoch_) {}
 
   [[nodiscard]] PhaseTimers& timers() { return timers_; }
   [[nodiscard]] const PhaseTimers& timers() const { return timers_; }
-
-  /// Attach a trace sink (not owned; nullptr detaches).
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-  [[nodiscard]] TraceSink* trace() const { return trace_; }
 
   /// Microseconds since the session was created (steady clock).
   [[nodiscard]] double now_us() const {
@@ -66,18 +58,10 @@ class Session {
  private:
   std::chrono::steady_clock::time_point epoch_;
   PhaseTimers timers_;
-  TraceSink* trace_{nullptr};
 };
 
 /// The session bound to the current thread, or nullptr (the default).
 [[nodiscard]] Session* current();
-
-/// The bound session's trace sink, or nullptr. The one-line guard for
-/// decision-event emitters.
-[[nodiscard]] inline TraceSink* active_trace() {
-  Session* s = current();
-  return s ? s->trace() : nullptr;
-}
 
 /// RAII thread-local binding; restores the previous binding on scope exit
 /// so sessions can nest (e.g. a test observing a helper that observes).

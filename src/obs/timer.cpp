@@ -1,11 +1,9 @@
 #include "obs/timer.h"
 
 #include <cassert>
-#include <utility>
 
-#include "obs/phasestack.h"
 #include "obs/session.h"
-#include "prof/flightrec.h"
+#include "prof/recorder.h"
 
 namespace gcr::obs {
 
@@ -74,12 +72,7 @@ ScopedTimer::ScopedTimer(const char* name) : name_(name) {
     h0_ = sampler();
     hw_ = true;
   }
-  if (shadow_enabled()) {
-    shadow_push(name);
-    shadowed_ = true;
-  }
-  if (prof::recorder_enabled())
-    prof::record(prof::Ev::PhaseEnter, name);
+  prof::phase_enter(name);
   t0_us_ = s->now_us();
 }
 
@@ -108,18 +101,7 @@ ScopedTimer::~ScopedTimer() {
   }
   session_->timers().pop((t1_us - t0_us_) / 1000.0, da.allocs, da.bytes,
                          have_hw ? &dh : nullptr);
-  if (shadowed_) shadow_pop();
-  if (prof::recorder_enabled())
-    prof::record(prof::Ev::PhaseExit, name_);
-  if (TraceSink* t = session_->trace()) {
-    TraceEvent e;
-    e.name = name_;
-    e.cat = "phase";
-    e.ph = 'X';
-    e.ts_us = t0_us_;
-    e.dur_us = t1_us - t0_us_;
-    t->event(std::move(e));
-  }
+  prof::phase_exit(name_, t1_us - t0_us_);
 }
 
 }  // namespace gcr::obs

@@ -27,9 +27,10 @@
 ///
 /// `ScopedTimer` is the only thing instrumented code touches; it is a no-op
 /// (one thread-local load) unless a `Session` is bound on this thread, and
-/// it additionally emits a Chrome trace-event slice when the session has a
-/// trace sink attached. The phase stack is per-session and therefore
-/// per-thread -- a session must not be shared across threads.
+/// it additionally records the phase's enter and exit with the thread's
+/// event recorder (prof/recorder.h), which the trace, the sampler, the log
+/// and the flight record read. The phase stack is per-session and
+/// therefore per-thread -- a session must not be shared across threads.
 
 namespace gcr::obs {
 
@@ -134,7 +135,6 @@ class ScopedTimer {
   AllocSample a0_;  ///< sampler snapshot at phase entry (if installed)
   HwSample h0_;     ///< hw-counter snapshot at phase entry (if installed)
   bool hw_{false};
-  bool shadowed_{false};  ///< pushed onto this thread's PhaseShadow
 };
 
 }  // namespace gcr::obs

@@ -145,9 +145,9 @@ void ThreadPool::worker_loop(std::size_t index) {
     }
     {
       // When the dispatching caller was observed, give this worker a view
-      // of its session for the job's duration: shared trace sink and time
-      // epoch, private phase tree (obs/session.h). Without this, trace
-      // events emitted inside worker chunks are silently dropped.
+      // of its session for the job's duration: shared time epoch, private
+      // phase tree (obs/session.h). Without this, ScopedTimers inside
+      // worker chunks are no-ops and record no phases.
       std::optional<obs::Session> view;
       std::optional<obs::Bind> bind;
       if (session != nullptr) {

@@ -11,7 +11,7 @@
 #include <thread>
 #include <utility>
 
-#include "obs/phasestack.h"
+#include "prof/recorder.h"
 
 namespace gcr::prof {
 
@@ -56,13 +56,11 @@ struct Sampler::Impl {
       }
       if (stop.load(std::memory_order_acquire)) break;
       ++ticks;
-      for (const obs::PhaseShadow* shadow : obs::shadow_threads()) {
-        if (shadow->retired.load(std::memory_order_acquire)) continue;
-        if (!shadow->snapshot(stack)) {
-          ++torn;
-          continue;
-        }
-        if (stack.empty()) continue;
+      const std::size_t threads = thread_count();
+      for (std::size_t i = 0; i < threads; ++i) {
+        const StackRead read = read_phase_stack(i, stack);
+        if (read == StackRead::Torn) ++torn;
+        if (read != StackRead::Ok || stack.empty()) continue;
         tallies[stack.back()].self += 1;
         // `total` counts each *distinct* name once per snapshot so a
         // re-entered phase (auto-tune's embed loop) is not double-counted.
@@ -102,7 +100,6 @@ void Sampler::start(const Options& opts) {
   impl_->tallies.clear();
   impl_->ticks = 0;
   impl_->torn = 0;
-  obs::set_shadow_enabled(true);
   impl_->thread = std::thread([this] { impl_->loop(); });
   impl_->running = true;
 }
@@ -113,7 +110,6 @@ Sampler::Profile Sampler::stop() {
   impl_->stop.store(true, std::memory_order_release);
   impl_->thread.join();
   impl_->running = false;
-  obs::set_shadow_enabled(false);
   p.interval_us = impl_->opts.interval_us;
   p.ticks = impl_->ticks;
   p.torn = impl_->torn;

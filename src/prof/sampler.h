@@ -10,9 +10,9 @@
 ///
 /// A dedicated sampler thread wakes on a fixed POSIX monotonic-clock
 /// interval (clock_nanosleep with TIMER_ABSTIME, so tick times do not
-/// drift) and snapshots every thread's lock-free `obs::PhaseShadow` --
-/// the published copy of that thread's open ScopedTimer phases. Each
-/// stable snapshot credits:
+/// drift) and reads every thread's open ScopedTimer phases from the event
+/// recorder's seqlock'd phase stacks (prof/recorder.h). Each stable
+/// snapshot credits:
 ///
 ///   * `self`  +1 to the innermost open phase,
 ///   * `total` +1 to every distinct phase name on the stack.
@@ -21,9 +21,10 @@
 /// as `PhaseStats`, i.e. "where was the time actually spent" at a
 /// granularity the phase tree's wall-clock totals cannot give (a phase
 /// that is open 95% of ticks but `self` on 5% is delegating its time to
-/// children or worker chunks). Overhead on the profiled threads is two
-/// relaxed atomic bumps plus a bounded name copy per ScopedTimer -- the
-/// route bench group stays within the 2% gate CI enforces.
+/// children or worker chunks). The profiled threads pay nothing extra: the
+/// recorder keeps their phase stacks whether or not a sampler runs, so
+/// starting one only adds the sampler thread -- the route bench group
+/// stays within the 2% gate CI enforces.
 ///
 /// Snapshots torn by a concurrent push/pop are discarded and counted in
 /// `Profile::torn`; sampling is statistical, a lost tick is not an error.
@@ -57,13 +58,12 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  /// Enable shadow publishing and launch the sampler thread. No-op when
-  /// already running.
+  /// Launch the sampler thread. No-op when already running.
   void start(const Options& opts);
   void start() { start(Options{}); }
 
-  /// Join the sampler thread, disable shadow publishing, and return the
-  /// accumulated profile. Returns an empty profile if never started.
+  /// Join the sampler thread and return the accumulated profile. Returns
+  /// an empty profile if never started.
   Profile stop();
 
   [[nodiscard]] bool running() const;

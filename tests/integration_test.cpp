@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "activity/brute_force.h"
@@ -10,7 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/session.h"
-#include "obs/trace.h"
+#include "prof/recorder.h"
 
 /// End-to-end integration checks on an r1-class instance: the full flow
 /// (workload -> tables -> topology -> gating -> embedding -> evaluation)
@@ -127,8 +128,7 @@ TEST_F(Integration, ObservedRunReportsAllPhasesAndEveryMerge) {
   obs::set_metrics_enabled(true);
   obs::Registry::global().reset();
   obs::Session session;
-  obs::MemoryTraceSink sink;
-  session.set_trace(&sink);
+  prof::Capture trace;
   core::RouterResult r;
   core::RouterOptions opts;
   {
@@ -143,9 +143,10 @@ TEST_F(Integration, ObservedRunReportsAllPhasesAndEveryMerge) {
   // decision event in the trace.
   EXPECT_EQ(obs::Registry::global().counter("cts.merges").value(),
             static_cast<std::uint64_t>(kSinks - 1));
+  trace.stop();
   int merge_events = 0;
-  for (const obs::TraceEvent& e : sink.events())
-    if (e.name == "merge") ++merge_events;
+  for (const prof::Event& e : trace.events())
+    if (e.kind == prof::Ev::Merge) ++merge_events;
   EXPECT_EQ(merge_events, kSinks - 1);
 
   std::ostringstream os;
@@ -158,9 +159,21 @@ TEST_F(Integration, ObservedRunReportsAllPhasesAndEveryMerge) {
     EXPECT_NE(doc.find(phase), std::string::npos) << phase;
   EXPECT_NE(doc.find("\"cts.merges\":95"), std::string::npos);
 
+  // The Chrome export carries the same N-1 merge instants, with their args.
   std::ostringstream ts;
-  sink.write_chrome_json(ts);
-  EXPECT_TRUE(obs::json::valid(ts.str()));
+  trace.write_chrome_json(ts);
+  const std::optional<obs::json::Value> chrome = obs::json::parse(ts.str());
+  ASSERT_TRUE(chrome.has_value()) << ts.str().substr(0, 400);
+  int chrome_merges = 0;
+  for (const obs::json::Value& e : chrome->as_array()) {
+    const obs::json::Value* name = e.find("name");
+    if (name == nullptr || name->as_string() != "merge") continue;
+    ++chrome_merges;
+    ASSERT_NE(e.find("args"), nullptr);
+    EXPECT_NE(e.find("args")->find("cost"), nullptr);
+    EXPECT_NE(e.find("args")->find("front"), nullptr);
+  }
+  EXPECT_EQ(chrome_merges, kSinks - 1);
 
   obs::set_metrics_enabled(false);
   obs::Registry::global().reset();

@@ -19,6 +19,7 @@
 #include "obs/timer.h"
 #include "par/pool.h"
 #include "perf/memhook.h"
+#include "prof/sampler.h"
 
 /// Unit tests of gcr::log: runtime level filtering, token-bucket rate
 /// limiting with suppression accounting under concurrent pool writers,
@@ -219,6 +220,37 @@ TEST_F(LogTest, EventsCarryPhasePathAndWorkerOrdinal) {
       max_worker = std::max(max_worker, r.worker);
   }
   EXPECT_GT(max_worker, 0);
+}
+
+TEST_F(LogTest, SamplerStartStopKeepsPhasePathsUnderARunningLogger) {
+  // The logger and the sampler both read the recorder's phase stacks;
+  // neither may switch them off for the other. Stopping a sampler while
+  // the logger runs must leave later events with their phase path.
+  log::Options opts;
+  opts.level = log::Level::Info;
+  const log::MemorySink sink = init_with_memory_sink(std::move(opts));
+  obs::Session session;
+  obs::Bind bind(&session);
+  {
+    obs::ScopedTimer phase("before");
+    GCR_LOG_INFO("sampler.before").kv("k", 1);
+  }
+  prof::Sampler sampler;
+  sampler.start();
+  (void)sampler.stop();
+  {
+    obs::ScopedTimer phase("after");
+    obs::ScopedTimer inner("inner");
+    GCR_LOG_INFO("sampler.after").kv("k", 2);
+  }
+  log::Logger::instance().flush();
+
+  const std::vector<log::Record> before = events_named(sink, "sampler.before");
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_EQ(before[0].phase, "before");
+  const std::vector<log::Record> after = events_named(sink, "sampler.after");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].phase, "after/inner");
 }
 
 TEST_F(LogTest, DisabledLoggerEmitsNothingAndNeverAllocates) {

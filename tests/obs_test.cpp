@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,7 +13,7 @@
 #include "obs/report.h"
 #include "obs/session.h"
 #include "obs/timer.h"
-#include "obs/trace.h"
+#include "prof/recorder.h"
 
 /// Unit tests of the observability layer: JSON writer/validator, counter
 /// aggregation across threads, timer nesting and aggregation, trace-export
@@ -164,7 +166,7 @@ TEST_F(ObsTest, TimersAreNoOpsWithoutSession) {
   // No session bound: must not crash or record anywhere.
   obs::ScopedTimer t("unbound");
   EXPECT_EQ(obs::current(), nullptr);
-  EXPECT_EQ(obs::active_trace(), nullptr);
+  EXPECT_EQ(prof::current_phase_path(), "");
 }
 
 TEST_F(ObsTest, BindRestoresPreviousSession) {
@@ -181,32 +183,48 @@ TEST_F(ObsTest, BindRestoresPreviousSession) {
 
 TEST_F(ObsTest, TraceExportIsWellFormedChromeJson) {
   obs::Session session;
-  obs::MemoryTraceSink sink;
-  session.set_trace(&sink);
+  prof::Capture trace;
   {
     obs::Bind bind(&session);
     obs::ScopedTimer phase("weird \"name\"\n");  // exercises escaping
-    obs::TraceEvent e;
-    e.name = "merge";
-    e.cat = "cts";
-    e.ph = 'i';
-    e.ts_us = session.now_us();
-    e.args.push_back(obs::TraceArg::num("a", 1ll));
-    e.args.push_back(obs::TraceArg::num("cost", 0.25));
-    e.args.push_back(obs::TraceArg::str("note", "x\"y"));
-    e.args.push_back(obs::TraceArg::boolean("ok", true));
-    obs::active_trace()->event(std::move(e));
+    prof::Event merge = prof::event(prof::Ev::Merge);
+    merge.a = 1;
+    merge.b = 2;
+    merge.x = 0.25;
+    merge.c = -1;  // no runner-up
+    prof::record(merge);
+    prof::Event reduce = prof::event(prof::Ev::Reduce);
+    reduce.flags = prof::kRuleSwcap | prof::kRemoved;
+    prof::record(reduce);
+    prof::record(prof::Ev::Mark, "note x\"y\\z");
   }
-  ASSERT_EQ(sink.size(), 2u);  // instant event + the phase slice
+  trace.stop();
+  // Phase enter + merge + reduce + mark + phase exit.
+  ASSERT_EQ(trace.events().size(), 5u);
 
   std::ostringstream os;
-  sink.write_chrome_json(os);
+  trace.write_chrome_json(os);
   const std::string doc = os.str();
   EXPECT_TRUE(obs::json::valid(doc)) << doc;
+  const std::optional<obs::json::Value> v = obs::json::parse(doc);
+  ASSERT_TRUE(v.has_value());
+  ASSERT_EQ(v->as_array().size(), 4u);  // the enter is folded into the slice
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"phase\""), std::string::npos);
   EXPECT_NE(doc.find("\"cost\":0.25"), std::string::npos);
+  EXPECT_EQ(doc.find("runner_up"), std::string::npos);
+  EXPECT_NE(doc.find("\"rule_swcap\":true"), std::string::npos);
+  EXPECT_NE(doc.find("\"rule_activity\":false"), std::string::npos);
+  // Names round-trip through the escaping.
+  bool saw_phase = false, saw_mark = false;
+  for (const obs::json::Value& e : v->as_array()) {
+    const std::string& name = e.find("name")->as_string();
+    saw_phase = saw_phase || name == "weird \"name\"\n";
+    saw_mark = saw_mark || name == "note x\"y\\z";
+  }
+  EXPECT_TRUE(saw_phase);
+  EXPECT_TRUE(saw_mark);
 }
 
 // The bench-report writer moved to gcr::perf in v2; its round trip is

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -20,10 +21,9 @@
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "obs/timer.h"
-#include "obs/trace.h"
 #include "par/pool.h"
-#include "prof/flightrec.h"
 #include "prof/hwcounters.h"
+#include "prof/recorder.h"
 #include "prof/report.h"
 #include "prof/sampler.h"
 #include "verify/generator.h"
@@ -32,6 +32,22 @@ namespace gcr {
 namespace {
 
 // --- flight recorder -------------------------------------------------------
+
+/// The flight record exactly as the crash handler writes it: through the
+/// signal-safe fd writer, into a temp file, read back.
+std::string flight_record_via_fd(bool crash) {
+  std::FILE* f = std::tmpfile();
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
+  EXPECT_TRUE(prof::write_flight_record_fd(fileno(f), crash));
+  std::rewind(f);
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
 
 /// Record on a dedicated thread so the test owns one whole ring: every
 /// other test (and gtest's main thread) records into different rings.
@@ -54,7 +70,6 @@ prof::ThreadTail record_on_fresh_thread(std::uint64_t count) {
 }
 
 TEST(FlightRec, RingWraparoundKeepsLastN) {
-  prof::set_recorder_enabled(true);
   constexpr std::uint64_t kCount = 1000;
   const prof::ThreadTail tail = record_on_fresh_thread(kCount);
   EXPECT_EQ(tail.recorded, kCount);
@@ -71,7 +86,6 @@ TEST(FlightRec, RingWraparoundKeepsLastN) {
 }
 
 TEST(FlightRec, ConcurrentWritersKeepPerThreadConsistency) {
-  prof::set_recorder_enabled(true);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 5000;
   const std::uint64_t before = prof::total_recorded();
@@ -100,16 +114,45 @@ TEST(FlightRec, ConcurrentWritersKeepPerThreadConsistency) {
   EXPECT_EQ(found, kThreads);
 }
 
-TEST(FlightRec, DisabledRecorderDropsEverything) {
-  prof::set_recorder_enabled(false);
-  const std::uint64_t before = prof::total_recorded();
-  prof::record(prof::Ev::Mark, "dropped");
-  EXPECT_EQ(prof::total_recorded(), before);
-  prof::set_recorder_enabled(true);
+TEST(FlightRec, FdWriterEscapesAndAccountsEveryTail) {
+  // A name that is only valid JSON once escaped, on a thread that
+  // overflows its ring and has exited by the time of the dump.
+  const char* kWhat = "fd \"q\" \\ \n";
+  constexpr std::uint64_t kCount = prof::kRingCapacity + 44;
+  std::thread t([&] {
+    for (std::uint64_t i = 0; i < kCount; ++i)
+      prof::record(prof::Ev::Mark, kWhat, static_cast<std::int64_t>(i));
+  });
+  t.join();
+
+  const std::string dump = flight_record_via_fd(/*crash=*/true);
+  const std::optional<obs::json::Value> doc = obs::json::parse(dump);
+  ASSERT_TRUE(doc.has_value()) << dump.substr(0, 400);
+  EXPECT_EQ(doc->find("schema")->as_string(), "gcr.flight_record");
+  EXPECT_EQ(doc->number_or("version", 0), 1);
+  EXPECT_TRUE(doc->find("crash")->as_bool());
+  EXPECT_GE(doc->number_or("events_recorded", 0),
+            static_cast<double>(kCount));
+  int found = 0;
+  for (const obs::json::Value& th : doc->find("threads")->as_array()) {
+    const obs::json::Value::Array& evs = th.find("events")->as_array();
+    if (evs.empty() || evs.back().find("what")->as_string() != kWhat)
+      continue;
+    ++found;
+    EXPECT_TRUE(th.find("retired")->as_bool());
+    EXPECT_EQ(th.number_or("dropped", -1),
+              static_cast<double>(kCount - prof::kRingCapacity));
+    EXPECT_EQ(evs.size(), prof::kRingCapacity);
+    EXPECT_EQ(evs.back().number_or("a", -1), static_cast<double>(kCount - 1));
+    EXPECT_EQ(evs.back().find("kind")->as_string(), "mark");
+  }
+  EXPECT_EQ(found, 1);
+  EXPECT_FALSE(obs::json::parse(flight_record_via_fd(false))
+                   ->find("crash")
+                   ->as_bool());
 }
 
 TEST(FlightRec, ZeroDeadlineRouteDumpsExpiryTail) {
-  prof::set_recorder_enabled(true);
   verify::DesignSpec spec = verify::random_spec(77);
   spec.num_sinks = 64;
   const core::GatedClockRouter router(verify::generate_design(spec));
@@ -120,9 +163,7 @@ TEST(FlightRec, ZeroDeadlineRouteDumpsExpiryTail) {
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.cancelled);
 
-  std::ostringstream os;
-  prof::write_flight_record(os);
-  const std::string dump = os.str();
+  const std::string dump = flight_record_via_fd(/*crash=*/false);
   EXPECT_TRUE(obs::json::valid(dump)) << dump.substr(0, 200);
   EXPECT_NE(dump.find("\"gcr.flight_record\""), std::string::npos);
   EXPECT_NE(dump.find("deadline_expired"), std::string::npos);
@@ -160,25 +201,30 @@ TEST(HwCounters, EnvKnobForcesRusageFallback) {
 // --- sampler ---------------------------------------------------------------
 
 TEST(Sampler, CreditsSelfToInnermostAndTotalToStack) {
-  // ScopedTimer (and therefore the shadow stack) is a no-op without a
-  // bound session -- the sampler observes sessions, not bare threads.
+  // ScopedTimer (and therefore the recorder's phase stack) is a no-op
+  // without a bound session -- the sampler observes sessions, not bare
+  // threads.
   obs::Session session;
   obs::Bind bind(&session);
   prof::Sampler sampler;
   prof::Sampler::Options opts;
   opts.interval_us = 100;
-  sampler.start(opts);
+  prof::Sampler::Profile p;
   {
     obs::ScopedTimer outer("sampler_outer");
     obs::ScopedTimer inner("sampler_inner");
+    // Sample only while both phases are open: a tick landing between the
+    // two pushes or pops (microseconds, but a tick's worth under TSan)
+    // would rightly credit the outer phase.
+    sampler.start(opts);
     // Burn bounded wall-clock; at a 100us tick even a fraction of this
     // loop yields several samples.
     volatile double sink = 0.0;
     for (int spin = 0; spin < 4000; ++spin)
       for (int i = 0; i < 20000; ++i) sink += 1.0 / (1.0 + i);
     (void)sink;
+    p = sampler.stop();
   }
-  const prof::Sampler::Profile p = sampler.stop();
   EXPECT_FALSE(sampler.running());
   EXPECT_GT(p.ticks, 0u);
   ASSERT_FALSE(p.entries.empty());
@@ -238,37 +284,62 @@ TEST(PoolTelemetry, DispatchOverheadCounterNonZeroAtWidth4) {
 
 TEST(WorkerTrace, ParallelForBodyEventsReachTheSessionSink) {
   obs::Session session;
-  obs::MemoryTraceSink sink;
-  session.set_trace(&sink);
+  prof::Capture trace;
   obs::Bind bind(&session);
   constexpr int kChunks = 64;
   par::parallel_for(4, 0, kChunks, 1, [&](std::int64_t b, std::int64_t) {
-    // Pre-fix, active_trace() was null on pool threads and worker-side
-    // events vanished; the sleep keeps the caller lane from racing
-    // through every chunk itself.
+    // Events recorded on pool threads must reach the capture; the sleep
+    // keeps the caller lane from racing through every chunk itself.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (obs::TraceSink* trace = obs::active_trace()) {
-      obs::TraceEvent e;
-      e.name = "chunk";
-      e.cat = "test";
-      e.ph = 'i';
-      e.args.push_back(obs::TraceArg::num("begin", static_cast<long long>(b)));
-      trace->event(std::move(e));
-    }
+    prof::record(prof::Ev::Mark, "chunk", b);
   });
-  const std::vector<obs::TraceEvent> events = sink.events();
-  EXPECT_EQ(events.size(), static_cast<std::size_t>(kChunks));
-  std::set<int> tids;
-  for (const obs::TraceEvent& e : events) tids.insert(e.tid);
-  EXPECT_GE(tids.size(), 2u) << "no worker thread emitted a captured event";
+  trace.stop();
+  std::vector<prof::Event> chunks;
+  for (const prof::Event& e : trace.events())
+    if (e.kind == prof::Ev::Mark && std::string(e.what) == "chunk")
+      chunks.push_back(e);
+  EXPECT_EQ(chunks.size(), static_cast<std::size_t>(kChunks));
+  std::set<std::uint32_t> tids;
+  for (const prof::Event& e : chunks) tids.insert(e.thread);
+  ASSERT_GE(tids.size(), 2u) << "no worker thread recorded a captured event";
+
+  // One ordinal per thread: a pool-worker event names the same thread in
+  // the flight record (its ring tail) and in the Chrome trace.
+  const std::uint32_t caller = prof::thread_ordinal();
+  const auto worker = std::find_if(chunks.begin(), chunks.end(),
+                                   [&](const prof::Event& e) {
+                                     return e.thread != caller;
+                                   });
+  ASSERT_NE(worker, chunks.end());
+  const std::optional<obs::json::Value> record =
+      obs::json::parse(flight_record_via_fd(false));
+  ASSERT_TRUE(record.has_value());
+  double ring_thread = -1;
+  for (const obs::json::Value& th : record->find("threads")->as_array())
+    for (const obs::json::Value& e : th.find("events")->as_array())
+      if (e.find("what")->as_string() == "chunk" &&
+          e.number_or("id", 0) == static_cast<double>(worker->id) &&
+          e.number_or("a", -1) == static_cast<double>(worker->a))
+        ring_thread = th.number_or("thread", -1);
+  EXPECT_EQ(ring_thread, static_cast<double>(worker->thread));
+
+  std::ostringstream os;
+  trace.write_chrome_json(os);
+  const std::optional<obs::json::Value> chrome = obs::json::parse(os.str());
+  ASSERT_TRUE(chrome.has_value());
+  double chrome_tid = -1;
+  for (const obs::json::Value& e : chrome->as_array())
+    if (e.find("name")->as_string() == "chunk" &&
+        e.find("args")->number_or("a", -1) == static_cast<double>(worker->a))
+      chrome_tid = e.number_or("tid", -1);
+  EXPECT_EQ(chrome_tid, static_cast<double>(worker->thread));
 }
 
 TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   obs::set_metrics_enabled(true);
   obs::Registry::global().reset();
   obs::Session session;
-  obs::MemoryTraceSink sink;
-  session.set_trace(&sink);
+  prof::Capture trace;
   obs::Bind bind(&session);
 
   verify::DesignSpec spec = verify::random_spec(91);
@@ -282,17 +353,17 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   const core::RouterResult r = router.route(opts);
   EXPECT_EQ(r.tree.num_leaves, 128);
 
+  trace.stop();
   std::size_t merges = 0, recomputes = 0;
-  for (const obs::TraceEvent& e : sink.events()) {
-    if (e.cat != "cts") continue;
-    if (e.name == "merge") ++merges;
-    if (e.name == "recompute") ++recomputes;
+  for (const prof::Event& e : trace.events()) {
+    if (e.kind == prof::Ev::Merge) ++merges;
+    if (e.kind == prof::Ev::Recompute) ++recomputes;
   }
   // One decision event per greedy merge (cell and top-level builds sum to
   // n - 1), regardless of which thread the engine ran on.
   EXPECT_EQ(merges, 127u);
   // Every best-partner recompute -- counted by the engine itself -- must
-  // have reached the sink, including the ones pool workers executed.
+  // have reached the capture, including the ones pool workers executed.
   EXPECT_EQ(
       recomputes,
       obs::Registry::global().counter("cts.best_partner_recomputes").value());
@@ -349,7 +420,6 @@ TEST(ProfileReport, RoundTripsThroughTheValidator) {
 }
 
 TEST(ProfileReport, PostmortemDumpWritesReadableFile) {
-  prof::set_recorder_enabled(true);
   prof::record(prof::Ev::Mark, "postmortem_test");
   const std::string path = "prof_test_postmortem.flightrec.json";
   ASSERT_TRUE(guard::postmortem_dump(path));

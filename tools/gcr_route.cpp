@@ -42,10 +42,10 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/session.h"
-#include "obs/trace.h"
 #include "par/pool.h"
 #include "perf/memhook.h"
 #include "prof/hwcounters.h"
+#include "prof/recorder.h"
 #include "prof/report.h"
 #include "prof/sampler.h"
 #include "verify/invariants.h"
@@ -315,10 +315,10 @@ int main(int argc, char** argv) {
                  "platform; reporting peak RSS only");
     }
     obs::Session session;
-    obs::MemoryTraceSink trace_sink;
+    std::optional<prof::Capture> trace;
     std::optional<obs::Bind> bind;
     if (observed) {
-      if (!a.trace.empty()) session.set_trace(&trace_sink);
+      if (!a.trace.empty()) trace.emplace();
       obs::set_metrics_enabled(true);
       obs::Registry::global().reset();
       bind.emplace(&session);
@@ -438,7 +438,8 @@ int main(int argc, char** argv) {
       if (!os)
         throw guard::GuardError(
             guard::make_error(guard::Code::Io, "cannot open " + a.trace));
-      trace_sink.write_chrome_json(os);
+      trace->stop();
+      trace->write_chrome_json(os);
     }
     if (!a.profile.empty()) {
       const prof::Sampler::Profile p = sampler.stop();
