@@ -1,25 +1,17 @@
 #include "guard/arena.h"
 
-#include <cstring>
+#include <utility>
 
 #include "guard/fault.h"
 
 namespace gcr::guard {
 
-char* BoundedArena::allocate(std::size_t size) {
+char* BoundedArena::adopt(std::unique_ptr<char[]> block, std::size_t size) {
   if (size > capacity_ || used_ > capacity_ - size) return nullptr;
   if (fault_point("arena.alloc")) return nullptr;
-  auto block = std::make_unique<char[]>(size == 0 ? 1 : size);
   char* p = block.get();
-  std::memset(p, 0, size == 0 ? 1 : size);
   blocks_.push_back(std::move(block));
   used_ += size;
-  return p;
-}
-
-char* BoundedArena::store(const char* data, std::size_t size) {
-  char* p = allocate(size);
-  if (p != nullptr && size > 0) std::memcpy(p, data, size);
   return p;
 }
 

@@ -1,5 +1,6 @@
 #include "io/text_io.h"
 
+#include <cstddef>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -26,6 +27,32 @@ template <typename T>
 T value_or_throw(std::optional<T> v, const Diag& diag) {
   if (!v) throw guard::GuardError(diag.first_error());
   return std::move(*v);
+}
+
+/// Fast path of read_stream: appends one line's ids when every token is a
+/// plain decimal of at most nine digits, which always fits an int. At the
+/// first token it cannot accept (a sign, any other character, ten or more
+/// digits) it drops the line's partial output and returns false; the
+/// caller then re-parses the line with a LineCursor, so every diagnostic
+/// keeps its code and column.
+bool scan_clean_ids(std::string_view line, std::vector<int>& out) {
+  constexpr std::ptrdiff_t kMaxDigits = 9;
+  const std::size_t mark = out.size();
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (;;) {
+    while (p < end && guard::is_space(*p)) ++p;
+    if (p == end) return true;
+    const char* const start = p;
+    int v = 0;
+    for (; p < end && p - start < kMaxDigits && *p >= '0' && *p <= '9'; ++p)
+      v = v * 10 + (*p - '0');
+    if (p == start || (p < end && !guard::is_space(*p))) {
+      out.resize(mark);
+      return false;
+    }
+    out.push_back(v);
+  }
 }
 
 }  // namespace
@@ -155,7 +182,12 @@ std::optional<activity::InstructionStream> read_stream(
     return std::nullopt;
   }
   activity::InstructionStream s;
+  // Every id takes at least two bytes (a digit and a separator), so this
+  // never regrows; pages past the ids actually read stay untouched.
+  s.seq.reserve(lx.bytes() / 2 + 1);
   for (std::size_t i = 0; i < lx.num_lines(); ++i) {
+    if (scan_clean_ids(lx.line_text(i), s.seq)) continue;
+    // Slow path: re-parse the line token by token for exact diagnostics.
     LineCursor c = lx.cursor(i);
     while (!c.at_end()) {
       int id = 0;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/design.h"
@@ -201,29 +205,30 @@ TEST(GuardFault, ParserReportsInjectedStreamFailureAsIo) {
 
 TEST(GuardArena, CapsTotalBytes) {
   guard::BoundedArena arena(64);
-  char* a = arena.allocate(40);
-  ASSERT_NE(a, nullptr);
-  for (int i = 0; i < 40; ++i) EXPECT_EQ(a[i], 0);  // zero-initialised
-  EXPECT_EQ(arena.allocate(40), nullptr);  // would exceed the cap
-  EXPECT_NE(arena.allocate(24), nullptr);  // exactly fills it
-  EXPECT_EQ(arena.allocate(1), nullptr);
+  const auto block = [] { return std::make_unique<char[]>(64); };
+  EXPECT_NE(arena.adopt(block(), 40), nullptr);
+  EXPECT_EQ(arena.adopt(block(), 40), nullptr);  // would exceed the cap
+  EXPECT_NE(arena.adopt(block(), 24), nullptr);  // exactly fills it
+  EXPECT_EQ(arena.adopt(block(), 1), nullptr);
   EXPECT_EQ(arena.used(), 64u);
 }
 
-TEST(GuardArena, StoreCopies) {
-  guard::BoundedArena arena(64);
-  const char* text = "abc";
-  char* p = arena.store(text, 3);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(std::memcmp(p, "abc", 3), 0);
-  EXPECT_NE(p, text);
+TEST(GuardArena, AdoptKeepsTheBlockWithoutCopying) {
+  guard::BoundedArena arena(8);
+  auto block = std::make_unique<char[]>(8);
+  std::memcpy(block.get(), "abc", 3);
+  const char* raw = block.get();
+  EXPECT_EQ(arena.adopt(std::move(block), 3), raw);  // same bytes, no copy
+  EXPECT_EQ(std::memcmp(raw, "abc", 3), 0);
+  EXPECT_EQ(arena.used(), 3u);
 }
 
 TEST(GuardArena, InjectedAllocationFailure) {
   guard::FaultInjector::global().arm({1, 1, 0.0});  // first visit fires
   guard::BoundedArena arena(1 << 10);
-  EXPECT_EQ(arena.allocate(8), nullptr);
-  EXPECT_NE(arena.allocate(8), nullptr);  // nth=1 already consumed
+  EXPECT_EQ(arena.adopt(std::make_unique<char[]>(8), 8), nullptr);
+  // nth=1 already consumed
+  EXPECT_NE(arena.adopt(std::make_unique<char[]>(8), 8), nullptr);
   guard::FaultInjector::global().disarm();
 }
 
@@ -232,6 +237,150 @@ TEST(GuardLexer, ByteCapReportsResource) {
   guard::Lexer lx(is, "t.sinks", /*max_bytes=*/8);
   EXPECT_FALSE(lx.ok());
   EXPECT_EQ(lx.load_status().code, Code::Resource);
+}
+
+namespace {
+
+/// Serves a payload `chunk` bytes per refill, so a Lexer reading it gets
+/// several short blocks and lines straddle block boundaries.
+class ChunkedStreambuf : public std::streambuf {
+ public:
+  ChunkedStreambuf(std::string payload, std::size_t chunk)
+      : payload_(std::move(payload)), chunk_(chunk) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= payload_.size()) return traits_type::eof();
+    const std::size_t n = std::min(chunk_, payload_.size() - pos_);
+    char* b = payload_.data() + pos_;
+    setg(b, b, b + n);
+    pos_ += n;
+    return traits_type::to_int_type(*b);
+  }
+
+ private:
+  std::string payload_;
+  std::size_t chunk_;
+  std::size_t pos_{0};
+};
+
+/// (original line number, text) of every payload line.
+using Lines = std::vector<std::pair<int, std::string>>;
+
+Lines payload_lines(const guard::Lexer& lx) {
+  Lines out;
+  for (std::size_t i = 0; i < lx.num_lines(); ++i)
+    out.emplace_back(lx.line_number(i), std::string(lx.line_text(i)));
+  return out;
+}
+
+}  // namespace
+
+TEST(GuardLexer, CrlfLinesKeepTheCarriageReturnAsWhitespace) {
+  std::istringstream is("a b\r\n# note\r\n\r\nc\r\n");
+  guard::Lexer lx(is, "t");
+  ASSERT_TRUE(lx.ok());
+  EXPECT_EQ(payload_lines(lx), (Lines{{1, "a b\r"}, {4, "c\r"}}));
+  guard::LineCursor c = lx.cursor(0);
+  std::string_view tok;
+  ASSERT_TRUE(c.next_token(tok));
+  ASSERT_TRUE(c.next_token(tok));
+  EXPECT_EQ(tok, "b");
+  EXPECT_TRUE(c.at_end());
+  EXPECT_EQ(lx.end_loc().line, 5);
+}
+
+TEST(GuardLexer, LastLineWithoutNewline) {
+  std::istringstream is("1 2\n3 4");
+  guard::Lexer lx(is, "t");
+  ASSERT_TRUE(lx.ok());
+  EXPECT_EQ(payload_lines(lx), (Lines{{1, "1 2"}, {2, "3 4"}}));
+  EXPECT_EQ(lx.end_loc().line, 3);
+}
+
+TEST(GuardLexer, CommentAndBlankLinesKeepOriginalNumbers) {
+  std::istringstream is("# header\n\n \t\f\n1 2 # tail\n#x\n3\n");
+  guard::Lexer lx(is, "t");
+  ASSERT_TRUE(lx.ok());
+  EXPECT_EQ(payload_lines(lx), (Lines{{4, "1 2 "}, {6, "3"}}));
+  EXPECT_EQ(lx.line_loc(1).line, 6);
+  EXPECT_EQ(lx.end_loc().line, 7);
+}
+
+TEST(GuardLexer, LinesCrossingReadBlocksStayWhole) {
+  const std::string text = "alpha beta\ngamma # delta\n\nepsilon zeta\neta";
+  for (const std::size_t chunk : {1u, 3u, 5u, 11u, 64u}) {
+    ChunkedStreambuf buf(text, chunk);
+    std::istream is(&buf);
+    guard::Lexer lx(is, "t");
+    ASSERT_TRUE(lx.ok()) << "chunk " << chunk;
+    EXPECT_EQ(payload_lines(lx), (Lines{{1, "alpha beta"},
+                                       {2, "gamma "},
+                                       {4, "epsilon zeta"},
+                                       {5, "eta"}}))
+        << "chunk " << chunk;
+  }
+}
+
+TEST(GuardLexer, ByteCapIsInclusiveAndStopsReadingPastIt) {
+  const std::string text = "ab\ncd\nef\n";  // 9 bytes
+  for (const std::size_t cap : {10u, 9u}) {
+    std::istringstream is(text);
+    guard::Lexer lx(is, "t", cap);
+    EXPECT_TRUE(lx.ok()) << "cap " << cap;
+    EXPECT_EQ(lx.num_lines(), 3u);
+  }
+  {
+    std::istringstream is(text);
+    guard::Lexer lx(is, "t", 8);  // one byte over
+    ASSERT_FALSE(lx.ok());
+    EXPECT_EQ(lx.load_status().code, Code::Resource);
+    EXPECT_EQ(lx.load_status().loc.line, 4);  // just past the crossing line
+  }
+  {
+    std::istringstream is(text);
+    guard::Lexer lx(is, "t", 4);
+    ASSERT_FALSE(lx.ok());
+    EXPECT_EQ(lx.load_status().loc.line, 3);
+    EXPECT_EQ(is.tellg(), 5);  // read cap + 1 bytes, then stopped
+  }
+  ChunkedStreambuf buf(text, 2);
+  std::istream is(&buf);
+  guard::Lexer lx(is, "t", 8);
+  EXPECT_EQ(lx.load_status().code, Code::Resource);
+}
+
+TEST(GuardLexer, ShortReadAnchorsJustPastTheLastWholeLine) {
+  guard::ShortReadStream is("l1\nl2\nl3 partial\nl4\n", 9,
+                            guard::ShortReadStreambuf::Mode::Fail);
+  guard::Lexer lx(is, "t");
+  ASSERT_FALSE(lx.ok());
+  EXPECT_EQ(lx.load_status().code, Code::Io);
+  EXPECT_EQ(lx.load_status().loc.line, 3);
+}
+
+TEST(GuardLexer, NthVisitReadFaultLandsOnItsLine) {
+  // Visit 1 is the file's one arena allocation; raw line k is visit k + 1.
+  const std::string text = "1\n# two\n3\n\n5\n";
+  guard::FaultInjector& inj = guard::FaultInjector::global();
+  for (int k = 1; k <= 5; ++k) {
+    inj.arm({9, static_cast<std::uint64_t>(k) + 1, 0.0});
+    std::istringstream is(text);
+    guard::Lexer lx(is, "t");
+    inj.disarm();
+    ASSERT_FALSE(lx.ok()) << "line " << k;
+    EXPECT_EQ(lx.load_status().code, Code::Io);
+    EXPECT_EQ(lx.load_status().loc.line, k + 1);
+    EXPECT_EQ(lx.end_loc().line, k + 1);
+    EXPECT_EQ(inj.last_site(), "lexer.read");
+  }
+  inj.arm({9, 1, 0.0});
+  std::istringstream is(text);
+  guard::Lexer lx(is, "t");
+  EXPECT_EQ(inj.points_visited(), 1u);  // the allocation failed first
+  inj.disarm();
+  EXPECT_EQ(lx.load_status().code, Code::Resource);
+  EXPECT_EQ(inj.last_site(), "arena.alloc");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "benchdata/paper_example.h"
 #include "benchdata/rbench.h"
@@ -44,6 +47,73 @@ TEST(TextIo, StreamIgnoresComments) {
   std::stringstream ss("# header\n1 2 # trailing\n3\n");
   const activity::InstructionStream s = read_stream(ss);
   EXPECT_EQ(s.seq, (std::vector<int>{1, 2, 3}));
+}
+
+/// Every diagnostic of read_stream on `text`, as "code line:col message",
+/// plus the ids when the stream was accepted.
+struct StreamParse {
+  std::vector<std::string> diags;
+  std::optional<std::vector<int>> ids;
+};
+
+StreamParse parse_stream(const std::string& text) {
+  std::istringstream is(text);
+  guard::Diag diag;
+  StreamParse out;
+  const auto s = read_stream(is, diag, "t.stream");
+  for (const guard::Status& st : diag.entries())
+    out.diags.push_back(std::string(guard::code_name(st.code)) + " " +
+                        std::to_string(st.loc.line) + ":" +
+                        std::to_string(st.loc.col) + " " + st.message);
+  if (s) out.ids = s->seq;
+  return out;
+}
+
+// Good ids, then one token the in-place scanner cannot take, on one line:
+// the line falls back to the token-by-token parser, so every code, line,
+// column and accepted id matches what that parser alone produces.
+TEST(TextIo, StreamFastAndSlowPathsAgree) {
+  using Ids = std::vector<int>;
+  struct Case {
+    const char* line2;
+    std::vector<std::string> diags;
+    std::optional<Ids> ids;
+  };
+  const std::vector<Case> cases = {
+      {"1 2 x5 3",
+       {"GCR_E_PARSE 2:5 stream entry 'x5' is not an instruction id"},
+       std::nullopt},
+      {"1 2 -1 3", {"GCR_E_RANGE 2:5 negative instruction id"}, std::nullopt},
+      {"1 -1 -2 3",
+       {"GCR_E_RANGE 2:3 negative instruction id",
+        "GCR_E_RANGE 2:6 negative instruction id"},
+       std::nullopt},
+      {"1 2 +7 3",
+       {"GCR_E_PARSE 2:5 stream entry '+7' is not an instruction id"},
+       std::nullopt},
+      {"1 2 2147483648 3",
+       {"GCR_E_PARSE 2:5 stream entry '2147483648' is not an instruction id"},
+       std::nullopt},
+      {"1 99999999999999999999",
+       {"GCR_E_PARSE 2:3 stream entry '99999999999999999999' is not an "
+        "instruction id"},
+       std::nullopt},
+      {"1 2 5x 3",
+       {"GCR_E_PARSE 2:5 stream entry '5x' is not an instruction id"},
+       std::nullopt},
+      {"1 2 2147483647", {}, Ids{8, 9, 1, 2, 2147483647, 4}},
+      {"1 2 007 3", {}, Ids{8, 9, 1, 2, 7, 3, 4}},
+      {"1 -0 3", {}, Ids{8, 9, 1, 0, 3, 4}},
+      {"1\t2\t\t3", {}, Ids{8, 9, 1, 2, 3, 4}},
+      {"1\r2 3\r", {}, Ids{8, 9, 1, 2, 3, 4}},
+      {" \v1\f2 ", {}, Ids{8, 9, 1, 2, 4}},
+  };
+  for (const Case& c : cases) {
+    const StreamParse got =
+        parse_stream("8 9\n" + std::string(c.line2) + "\n4\n");
+    EXPECT_EQ(got.diags, c.diags) << c.line2;
+    EXPECT_EQ(got.ids, c.ids) << c.line2;
+  }
 }
 
 TEST(TextIo, RtlRoundTrip) {

@@ -1,11 +1,12 @@
 /// \file gcr_bench.cpp
 /// Statistical benchmark driver for the library's hot paths. Benchmarks are
-/// registered under six groups -- activity, topology, zskew, reduction,
-/// route, route_par -- and run with warmup plus adaptive repetitions until the median
-/// stabilizes (perf/runner.h). The heap hook is on by default, so every
-/// result carries allocations/bytes per repetition next to its timing
-/// statistics, and each group writes a `BENCH_<group>.json` v2 sidecar
-/// (perf/report.h) suitable for `gcr_benchdiff`.
+/// registered under groups -- activity, io, topology, zskew, reduction,
+/// route, route_par, eco, scale, serve -- and run with warmup plus adaptive
+/// repetitions until the median stabilizes (perf/runner.h). The heap hook
+/// is on by default, so every result carries allocations/bytes per
+/// repetition next to its timing statistics, and each group writes a
+/// `BENCH_<group>.json` v2 sidecar (perf/report.h) suitable for
+/// `gcr_benchdiff`.
 ///
 /// Usage:
 ///   gcr_bench [--quick] [--filter SUBSTR] [--out DIR] [--list] [--no-mem]
@@ -29,9 +30,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <istream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <utility>
@@ -46,6 +50,7 @@
 #include "cts/greedy.h"
 #include "eco/delta.h"
 #include "eco/incremental.h"
+#include "guard/status.h"
 #include "gating/gate_reduction.h"
 #include "log/logger.h"
 #include "obs/metrics.h"
@@ -139,6 +144,73 @@ void register_activity(Groups& g, bool quick) {
                         });
     }
   }
+}
+
+// --- io: the parsers' text front end (guard::Lexer + io readers) -----------
+
+/// Serves a text in place, so a timed parse does not first copy it the way
+/// an istringstream would.
+class TextBuf : public std::streambuf {
+ public:
+  explicit TextBuf(std::string& text) {
+    setg(text.data(), text.data(), text.data() + text.size());
+  }
+};
+
+/// Adds an io row that parses `text` (made once, in setup) with `read`.
+template <typename MakeText, typename Read>
+void add_io_row(Groups& g, const std::string& name, MakeText make_text,
+                Read read) {
+  g["io"].add(name, [make_text, read] {
+    auto text = std::make_shared<std::string>(make_text());
+    return [text, read] {
+      TextBuf buf(*text);
+      std::istream is(&buf);
+      guard::Diag diag;
+      const auto parsed = read(is, diag, "bench");
+      if (!parsed) std::abort();  // writer output must parse
+      perf::do_not_optimize(parsed);
+    };
+  });
+}
+
+void register_io(Groups& g, bool quick) {
+  // Inputs come from the library's own writers, at trace_long's shape
+  // (1,024 sinks, K = 64) for the stream and route_large's sink count.
+  const int len = quick ? 400000 : 4000000;
+  add_io_row(
+      g, "io/read_stream/len=" + std::to_string(len),
+      [len] {
+        const benchdata::RBench rb = synthetic_rbench(1024, 5);
+        std::ostringstream os;
+        io::write_stream(os, make_workload(rb, 64, len, 5).stream);
+        return os.str();
+      },
+      [](std::istream& is, guard::Diag& d, const std::string& f) {
+        return io::read_stream(is, d, f);
+      });
+  add_io_row(
+      g, "io/read_sinks/n=16384",
+      [] {
+        const benchdata::RBench rb = synthetic_rbench(16384, 7);
+        std::ostringstream os;
+        io::write_sinks(os, rb.die, rb.sinks);
+        return os.str();
+      },
+      [](std::istream& is, guard::Diag& d, const std::string& f) {
+        return io::read_sinks(is, d, f);
+      });
+  add_io_row(
+      g, "io/read_rtl/k=64",
+      [] {
+        const benchdata::RBench rb = synthetic_rbench(1024, 5);
+        std::ostringstream os;
+        io::write_rtl(os, make_workload(rb, 64, 1000, 5).rtl);
+        return os.str();
+      },
+      [](std::istream& is, guard::Diag& d, const std::string& f) {
+        return io::read_rtl(is, d, f);
+      });
 }
 
 // --- topology: the Eq. 3 greedy construction -------------------------------
@@ -567,6 +639,7 @@ int main(int argc, char** argv) {
 
   Groups groups;
   register_activity(groups, opts.quick);
+  register_io(groups, opts.quick);
   register_topology(groups, opts.quick);
   register_zskew(groups, opts.quick);
   register_reduction(groups, opts.quick);

@@ -41,7 +41,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -370,6 +372,8 @@ int run_faults_mode(std::uint64_t seed, bool verbose) {
   std::uint64_t points = 0;    // injection points actually exercised
   std::uint64_t fired = 0;     // faults that fired
   std::uint64_t crashes = 0;   // exceptions escaping a hardened parser
+  // payload -> fault sites the nth-visit sweep fired in it
+  std::map<std::string, std::set<std::string>> fired_sites;
   const auto crash = [&](const char* kind, const Payload& p, std::size_t at,
                          const char* what) {
     ++crashes;
@@ -431,6 +435,7 @@ int run_faults_mode(std::uint64_t seed, bool verbose) {
       points += inj.points_visited();
       if (inj.faults_fired() > 0) {
         ++fired;
+        fired_sites[p.name].insert(inj.last_site());
         if (!diag.has_code(guard::Code::Resource) &&
             !diag.has_code(guard::Code::Io))
           crash("inject-nth", p, nth,
@@ -489,6 +494,19 @@ int run_faults_mode(std::uint64_t seed, bool verbose) {
     GCR_LOG_ERROR("faults.coverage")
         .msg("fault harness exercised fewer than 200 injection points");
     return guard::kExitInternal;
+  }
+  // Each parser path must stay reachable by both in-process fault sites:
+  // the file's one arena allocation and the per-line read.
+  for (const Payload& p : payloads) {
+    for (const char* site : {"arena.alloc", "lexer.read"}) {
+      if (fired_sites[p.name].count(site) == 0) {
+        GCR_LOG_ERROR("faults.coverage")
+            .kv("payload", p.name)
+            .kv("site", site)
+            .msg("no nth-visit fault fired at this site");
+        return guard::kExitInternal;
+      }
+    }
   }
   std::cout << "all injected faults surfaced as diagnostics\n";
   return guard::kExitOk;

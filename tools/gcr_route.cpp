@@ -42,6 +42,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/session.h"
+#include "obs/timer.h"
 #include "par/pool.h"
 #include "perf/memhook.h"
 #include "prof/hwcounters.h"
@@ -278,32 +279,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    guard::Diag diag;
-    std::ifstream sf(a.sinks);
-    if (!sf) diag.error(guard::Code::Io, "cannot open " + a.sinks);
-    std::optional<io::SinksFile> sinks =
-        sf ? io::read_sinks(sf, diag, a.sinks) : std::nullopt;
-    std::ifstream rf(a.rtl);
-    if (!rf) diag.error(guard::Code::Io, "cannot open " + a.rtl);
-    std::optional<activity::RtlDescription> rtl =
-        rf ? io::read_rtl(rf, diag, a.rtl) : std::nullopt;
-    std::ifstream tf(a.stream);
-    if (!tf) diag.error(guard::Code::Io, "cannot open " + a.stream);
-    std::optional<activity::InstructionStream> stream =
-        tf ? io::read_stream(tf, diag, a.stream) : std::nullopt;
-    // The guard bridge has already turned every Diag entry into a stderr
-    // line + structured event as it was reported; no diag.print here.
-    if (!sinks || !rtl || !stream) return diag.exit_code();
-
-    core::Design design{sinks->die, std::move(sinks->sinks), std::move(*rtl),
-                        std::move(*stream), {}};
-    // Semantic validation must run before the router is constructed: the
-    // activity analyzer indexes by raw stream/module ids, so a bad design
-    // cannot be caught after the fact.
-    if (!guard::validate_design(design, diag)) return diag.exit_code();
-
-    // Observability: bind a session before the router is constructed so
-    // the activity-analysis phase inside the constructor is captured.
+    // Observability: bind a session before the inputs are read so the
+    // phase tree covers parse, validation, routing and the tree write.
     const bool observed = !a.report.empty() || !a.trace.empty() ||
                           !a.profile.empty() || a.verbose || a.mem_stats;
     if (a.mem_stats) {
@@ -323,14 +300,43 @@ int main(int argc, char** argv) {
       obs::Registry::global().reset();
       bind.emplace(&session);
     }
-    // Profiling starts before the router is constructed for the same reason
-    // the session does: the constructor's activity-analysis phase counts.
+    // Profiling starts at the same point, so parsing is sampled too.
     prof::Sampler sampler;
     prof::HwInfo hw;
     if (!a.profile.empty()) {
       hw = prof::enable_hw_counters();
       sampler.start();
       guard::install_postmortem(a.profile + ".flightrec.json");
+    }
+
+    guard::Diag diag;
+    std::optional<io::SinksFile> sinks;
+    std::optional<activity::RtlDescription> rtl;
+    std::optional<activity::InstructionStream> stream;
+    {
+      const obs::ScopedTimer read_timer("io.read");
+      std::ifstream sf(a.sinks);
+      if (!sf) diag.error(guard::Code::Io, "cannot open " + a.sinks);
+      else sinks = io::read_sinks(sf, diag, a.sinks);
+      std::ifstream rf(a.rtl);
+      if (!rf) diag.error(guard::Code::Io, "cannot open " + a.rtl);
+      else rtl = io::read_rtl(rf, diag, a.rtl);
+      std::ifstream tf(a.stream);
+      if (!tf) diag.error(guard::Code::Io, "cannot open " + a.stream);
+      else stream = io::read_stream(tf, diag, a.stream);
+    }
+    // The guard bridge has already turned every Diag entry into a stderr
+    // line + structured event as it was reported; no diag.print here.
+    if (!sinks || !rtl || !stream) return diag.exit_code();
+
+    core::Design design{sinks->die, std::move(sinks->sinks), std::move(*rtl),
+                        std::move(*stream), {}};
+    // Semantic validation must run before the router is constructed: the
+    // activity analyzer indexes by raw stream/module ids, so a bad design
+    // cannot be caught after the fact.
+    {
+      const obs::ScopedTimer validate_timer("validate");
+      if (!guard::validate_design(design, diag)) return diag.exit_code();
     }
 
     const core::GatedClockRouter router(std::move(design));
@@ -405,8 +411,11 @@ int main(int argc, char** argv) {
         return guard::kExitInvalidInput;
       }
       guard::Diag ediag;
-      const std::optional<eco::DesignDelta> delta =
-          io::read_delta(ef, ediag, a.eco);
+      std::optional<eco::DesignDelta> delta;
+      {
+        const obs::ScopedTimer read_timer("io.read");
+        delta = io::read_delta(ef, ediag, a.eco);
+      }
       if (!delta) return ediag.exit_code();
       eco_out = eco::route_incremental(router, *out.result, *delta, opts,
                                        &eco_info, deadline);
@@ -426,6 +435,12 @@ int main(int argc, char** argv) {
       if (!rep.ok()) return guard::kExitInternal;
     }
 
+    // Written before the reports so its phase is in them.
+    if (!a.tree_out.empty()) {
+      const obs::ScopedTimer write_timer("io.write");
+      std::ofstream os(a.tree_out);
+      io::write_routed_tree(os, r.tree);
+    }
     if (!a.report.empty()) {
       std::ofstream os(a.report);
       if (!os)
@@ -507,10 +522,6 @@ int main(int argc, char** argv) {
       const gating::ControllerPlacement ctrl(result_router.design().die,
                                              a.partitions);
       io::write_svg(os, r.tree, result_router.design().die, ctrl);
-    }
-    if (!a.tree_out.empty()) {
-      std::ofstream os(a.tree_out);
-      io::write_routed_tree(os, r.tree);
     }
   } catch (const guard::GuardError& e) {
     GCR_LOG_ERROR("cli.guard_error").msg(e.status().to_string());
