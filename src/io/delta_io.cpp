@@ -1,14 +1,13 @@
 #include "io/delta_io.h"
 
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
 
 #include "guard/lexer.h"
 #include "guard/validate.h"
+#include "io/text_out.h"
 
 namespace gcr::io {
 
@@ -22,20 +21,21 @@ using guard::LineCursor;
 }  // namespace
 
 void write_delta(std::ostream& os, const eco::DesignDelta& delta) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "# gcr design delta\n";
-  os << "delta\n";
+  TextOut out(os);
+  out << "# gcr design delta\n";
+  out << "delta\n";
   for (const eco::SinkMove& mv : delta.moves)
-    os << "move " << mv.sink << ' ' << mv.to.x << ' ' << mv.to.y << '\n';
-  for (const int r : delta.removes) os << "remove " << r << '\n';
+    out << "move " << mv.sink << ' ' << mv.to.x << ' ' << mv.to.y << '\n';
+  for (const int r : delta.removes) out << "remove " << r << '\n';
   for (const eco::SinkAdd& add : delta.adds)
-    os << "add " << add.sink.loc.x << ' ' << add.sink.loc.y << ' '
-       << add.sink.cap << ' ' << add.module << '\n';
+    out << "add " << add.sink.loc.x << ' ' << add.sink.loc.y << ' '
+        << add.sink.cap << ' ' << add.module << '\n';
   if (delta.stream.has_value()) {
-    os << "stream";
-    for (const activity::InstrId id : delta.stream->seq) os << ' ' << id;
-    os << '\n';
+    out << "stream";
+    for (const activity::InstrId id : delta.stream->seq) out << ' ' << id;
+    out << '\n';
   }
+  out.flush();
 }
 
 std::optional<eco::DesignDelta> read_delta(std::istream& is, guard::Diag& diag,

@@ -1,9 +1,7 @@
 #include "io/reqs_io.h"
 
 #include <charconv>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <string_view>
 #include <unordered_map>
@@ -11,6 +9,7 @@
 
 #include "guard/lexer.h"
 #include "guard/validate.h"
+#include "io/text_out.h"
 
 namespace gcr::io {
 
@@ -41,21 +40,22 @@ bool one_of(std::string_view v, std::initializer_list<std::string_view> set) {
 }  // namespace
 
 void write_reqs(std::ostream& os, const std::vector<RouteRequest>& reqs) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "# gcr serve batch\n";
-  os << "reqs\n";
+  TextOut out(os);
+  out << "# gcr serve batch\n";
+  out << "reqs\n";
   for (const RouteRequest& r : reqs) {
-    os << r.id << " sinks=" << r.sinks << " rtl=" << r.rtl
-       << " stream=" << r.stream;
-    if (r.style != "reduced") os << " style=" << r.style;
-    if (r.topology != "swcap") os << " topology=" << r.topology;
-    if (r.strength) os << " strength=" << *r.strength;
-    if (r.auto_tune) os << " auto_tune=1";
-    if (r.deadline_ms >= 0.0) os << " deadline_ms=" << r.deadline_ms;
-    if (r.threads > 0) os << " threads=" << r.threads;
-    if (!r.eco.empty()) os << " eco=" << r.eco;
-    os << '\n';
+    out << r.id << " sinks=" << r.sinks << " rtl=" << r.rtl
+        << " stream=" << r.stream;
+    if (r.style != "reduced") out << " style=" << r.style;
+    if (r.topology != "swcap") out << " topology=" << r.topology;
+    if (r.strength) out << " strength=" << *r.strength;
+    if (r.auto_tune) out << " auto_tune=1";
+    if (r.deadline_ms >= 0.0) out << " deadline_ms=" << r.deadline_ms;
+    if (r.threads > 0) out << " threads=" << r.threads;
+    if (!r.eco.empty()) out << " eco=" << r.eco;
+    out << '\n';
   }
+  out.flush();
 }
 
 std::optional<std::vector<RouteRequest>> read_reqs(

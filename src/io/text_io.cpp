@@ -1,15 +1,14 @@
 #include "io/text_io.h"
 
 #include <cstddef>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <utility>
 
 #include "guard/lexer.h"
 #include "guard/validate.h"
+#include "io/text_out.h"
 
 namespace gcr::io {
 
@@ -59,13 +58,14 @@ bool scan_clean_ids(std::string_view line, std::vector<int>& out) {
 
 void write_sinks(std::ostream& os, const geom::DieArea& die,
                  const ct::SinkList& sinks) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "# gcr sinks file\n";
-  os << "die " << die.xlo << ' ' << die.ylo << ' ' << die.xhi << ' '
-     << die.yhi << '\n';
-  os << "# x y cap\n";
+  TextOut out(os);
+  out << "# gcr sinks file\n";
+  out << "die " << die.xlo << ' ' << die.ylo << ' ' << die.xhi << ' '
+      << die.yhi << '\n';
+  out << "# x y cap\n";
   for (const auto& s : sinks)
-    os << s.loc.x << ' ' << s.loc.y << ' ' << s.cap << '\n';
+    out << s.loc.x << ' ' << s.loc.y << ' ' << s.cap << '\n';
+  out.flush();
 }
 
 std::optional<SinksFile> read_sinks(std::istream& is, guard::Diag& diag,
@@ -167,10 +167,12 @@ SinksFile read_sinks(std::istream& is) {
 }
 
 void write_stream(std::ostream& os, const activity::InstructionStream& s) {
-  os << "# gcr instruction stream (" << s.length() << " cycles)\n";
+  TextOut out(os);
+  out << "# gcr instruction stream (" << s.length() << " cycles)\n";
   for (int t = 0; t < s.length(); ++t)
-    os << s.seq[static_cast<std::size_t>(t)] << ((t + 1) % 20 ? ' ' : '\n');
-  os << '\n';
+    out << s.seq[static_cast<std::size_t>(t)] << ((t + 1) % 20 ? ' ' : '\n');
+  out << '\n';
+  out.flush();
 }
 
 std::optional<activity::InstructionStream> read_stream(
@@ -218,13 +220,15 @@ activity::InstructionStream read_stream(std::istream& is) {
 }
 
 void write_rtl(std::ostream& os, const activity::RtlDescription& rtl) {
-  os << "# gcr rtl description\n";
-  os << "rtl " << rtl.num_instructions() << ' ' << rtl.num_modules() << '\n';
+  TextOut out(os);
+  out << "# gcr rtl description\n";
+  out << "rtl " << rtl.num_instructions() << ' ' << rtl.num_modules() << '\n';
   for (int i = 0; i < rtl.num_instructions(); ++i) {
-    os << i;
-    rtl.module_set(i).for_each([&](int m) { os << ' ' << m; });
-    os << '\n';
+    out << i;
+    rtl.module_set(i).for_each([&](int m) { out << ' ' << m; });
+    out << '\n';
   }
+  out.flush();
 }
 
 std::optional<activity::RtlDescription> read_rtl(std::istream& is,

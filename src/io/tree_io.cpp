@@ -1,14 +1,13 @@
 #include "io/tree_io.h"
 
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "guard/lexer.h"
 #include "guard/validate.h"
+#include "io/text_out.h"
 
 namespace gcr::io {
 
@@ -21,17 +20,18 @@ using guard::LineCursor;
 }  // namespace
 
 void write_routed_tree(std::ostream& os, const ct::RoutedTree& tree) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "# gcr routed clock tree\n";
-  os << "tree " << tree.num_nodes() << ' ' << tree.num_leaves << ' '
-     << tree.root << '\n';
-  os << "# id x y parent edge_len gated down_cap delay\n";
+  TextOut out(os);
+  out << "# gcr routed clock tree\n";
+  out << "tree " << tree.num_nodes() << ' ' << tree.num_leaves << ' '
+      << tree.root << '\n';
+  out << "# id x y parent edge_len gated down_cap delay\n";
   for (int id = 0; id < tree.num_nodes(); ++id) {
     const ct::RoutedNode& n = tree.node(id);
-    os << id << ' ' << n.loc.x << ' ' << n.loc.y << ' ' << n.parent << ' '
-       << n.edge_len << ' ' << (n.gated ? 1 : 0) << ' ' << n.down_cap << ' '
-       << n.delay << '\n';
+    out << id << ' ' << n.loc.x << ' ' << n.loc.y << ' ' << n.parent << ' '
+        << n.edge_len << ' ' << (n.gated ? 1 : 0) << ' ' << n.down_cap << ' '
+        << n.delay << '\n';
   }
+  out.flush();
 }
 
 std::optional<ct::RoutedTree> read_routed_tree(std::istream& is,

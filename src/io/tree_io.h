@@ -14,6 +14,9 @@
 /// Format: a header line "tree <num_nodes> <num_leaves> <root>", then one
 /// line per node:
 ///   <id> <x> <y> <parent> <edge_len> <gated 0/1> <down_cap> <delay>
+/// Doubles are written as "%.17g": 17 significant digits, enough to
+/// round-trip every double, with trailing zeros cut. That is not always the
+/// shortest form: 0.5 is written "0.5", but 0.1 is "0.10000000000000001".
 ///
 /// The reader is strict: it rejects duplicate or missing node ids,
 /// out-of-range parents, a parented root, more than two children per node,

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <iomanip>
+#include <limits>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,6 +14,8 @@
 #include "clocktree/embed.h"
 #include "cts/greedy.h"
 #include "gating/controller.h"
+#include "io/delta_io.h"
+#include "io/reqs_io.h"
 #include "io/svg.h"
 #include "io/text_io.h"
 
@@ -133,6 +139,164 @@ TEST(TextIo, RtlRejectsGarbage) {
   EXPECT_THROW(read_rtl(ss), std::runtime_error);
   std::stringstream empty("# nothing\n");
   EXPECT_THROW(read_rtl(empty), std::runtime_error);
+}
+
+// Golden bytes: every writer must produce exactly what its former
+// `ostream <<` body did at setprecision(max_digits10). The references below
+// are those bodies, kept only here.
+
+std::ostringstream reference_stream() {
+  std::ostringstream os;
+  os << std::setprecision(std::numeric_limits<double>::max_digits10);
+  return os;
+}
+
+const double kEdgeValues[] = {0.0,   -0.0,  0.1, 1e300, 5e-324,
+                              123456789012345678.0, -1.0, 1.0 / 3};
+
+TEST(TextIo, SinksWriterMatchesReferenceBytes) {
+  const geom::DieArea die{-0.0, 0.1, 1e300, 123456789012345678.0};
+  ct::SinkList sinks;
+  for (const double v : kEdgeValues) sinks.push_back({{v, -v}, v});
+  const auto bench = benchdata::generate_rbench("r1");
+  sinks.insert(sinks.end(), bench.sinks.begin(), bench.sinks.end());
+
+  std::ostringstream ref = reference_stream();
+  ref << "# gcr sinks file\n";
+  ref << "die " << die.xlo << ' ' << die.ylo << ' ' << die.xhi << ' '
+      << die.yhi << '\n';
+  ref << "# x y cap\n";
+  for (const auto& s : sinks)
+    ref << s.loc.x << ' ' << s.loc.y << ' ' << s.cap << '\n';
+
+  std::ostringstream got;
+  write_sinks(got, die, sinks);
+  EXPECT_EQ(got.str(), ref.str());
+}
+
+TEST(TextIo, StreamWriterMatchesReferenceBytes) {
+  std::mt19937 rng(7);
+  activity::InstructionStream s;
+  for (int t = 0; t < 100003; ++t)  // not a multiple of the 20-id row
+    s.seq.push_back(t % 97 == 0 ? INT_MAX : static_cast<int>(rng() % 64));
+
+  std::ostringstream ref = reference_stream();
+  ref << "# gcr instruction stream (" << s.length() << " cycles)\n";
+  for (int t = 0; t < s.length(); ++t)
+    ref << s.seq[static_cast<std::size_t>(t)] << ((t + 1) % 20 ? ' ' : '\n');
+  ref << '\n';
+
+  std::ostringstream got;
+  write_stream(got, s);
+  EXPECT_EQ(got.str(), ref.str());
+}
+
+TEST(TextIo, RtlWriterMatchesReferenceBytes) {
+  const auto ex = benchdata::paper_example();
+  std::ostringstream ref = reference_stream();
+  ref << "# gcr rtl description\n";
+  ref << "rtl " << ex.rtl.num_instructions() << ' ' << ex.rtl.num_modules()
+      << '\n';
+  for (int i = 0; i < ex.rtl.num_instructions(); ++i) {
+    ref << i;
+    ex.rtl.module_set(i).for_each([&](int m) { ref << ' ' << m; });
+    ref << '\n';
+  }
+
+  std::ostringstream got;
+  write_rtl(got, ex.rtl);
+  EXPECT_EQ(got.str(), ref.str());
+}
+
+TEST(TextIo, DeltaWriterMatchesReferenceBytes) {
+  eco::DesignDelta d;
+  for (const double v : kEdgeValues) {
+    d.moves.push_back({INT_MAX, {v, -v}});
+    d.adds.push_back({{{-v, v}, v}, INT_MAX});
+  }
+  d.removes = {0, INT_MAX, INT_MIN};
+  d.stream = activity::InstructionStream{{3, 0, INT_MAX, 1}};
+
+  std::ostringstream ref = reference_stream();
+  ref << "# gcr design delta\n";
+  ref << "delta\n";
+  for (const eco::SinkMove& mv : d.moves)
+    ref << "move " << mv.sink << ' ' << mv.to.x << ' ' << mv.to.y << '\n';
+  for (const int r : d.removes) ref << "remove " << r << '\n';
+  for (const eco::SinkAdd& add : d.adds)
+    ref << "add " << add.sink.loc.x << ' ' << add.sink.loc.y << ' '
+        << add.sink.cap << ' ' << add.module << '\n';
+  ref << "stream";
+  for (const activity::InstrId id : d.stream->seq) ref << ' ' << id;
+  ref << '\n';
+
+  std::ostringstream got;
+  write_delta(got, d);
+  EXPECT_EQ(got.str(), ref.str());
+}
+
+TEST(TextIo, ReqsWriterMatchesReferenceBytes) {
+  std::vector<RouteRequest> reqs(3);
+  reqs[0].id = "plain";
+  reqs[0].sinks = "a.sinks";
+  reqs[0].rtl = "a.rtl";
+  reqs[0].stream = "a.stream";
+  RouteRequest& full = reqs[1];
+  full.id = "every-key";
+  full.sinks = std::string(40000, 's');  // longer than one output block
+  full.rtl = "d/b.rtl";
+  full.stream = "d/b.stream";
+  full.style = "gated";
+  full.topology = "mmm";
+  full.strength = 0.1;
+  full.auto_tune = true;
+  full.deadline_ms = 123456789012345678.0;
+  full.threads = INT_MAX;
+  full.eco = "d/b.delta";
+  reqs[2] = full;
+  reqs[2].id = "edges";
+  reqs[2].sinks = "c.sinks";
+  reqs[2].strength = -0.0;
+  reqs[2].deadline_ms = 0.0;
+
+  std::ostringstream ref = reference_stream();
+  ref << "# gcr serve batch\n";
+  ref << "reqs\n";
+  for (const RouteRequest& r : reqs) {
+    ref << r.id << " sinks=" << r.sinks << " rtl=" << r.rtl
+        << " stream=" << r.stream;
+    if (r.style != "reduced") ref << " style=" << r.style;
+    if (r.topology != "swcap") ref << " topology=" << r.topology;
+    if (r.strength) ref << " strength=" << *r.strength;
+    if (r.auto_tune) ref << " auto_tune=1";
+    if (r.deadline_ms >= 0.0) ref << " deadline_ms=" << r.deadline_ms;
+    if (r.threads > 0) ref << " threads=" << r.threads;
+    if (!r.eco.empty()) ref << " eco=" << r.eco;
+    ref << '\n';
+  }
+
+  std::ostringstream got;
+  write_reqs(got, reqs);
+  EXPECT_EQ(got.str(), ref.str());
+}
+
+TEST(TextIo, WritersLeaveStreamStateAlone) {
+  const auto bench = benchdata::generate_rbench("r1");
+  std::ostringstream os;
+  os << std::scientific << std::showpos << std::setprecision(3);
+  const std::ios::fmtflags flags = os.flags();
+  write_sinks(os, bench.die, bench.sinks);
+  eco::DesignDelta d;
+  d.moves.push_back({1, {0.1, 2.5}});
+  write_delta(os, d);
+  EXPECT_EQ(os.precision(), 3);
+  EXPECT_EQ(os.flags(), flags);
+
+  // The stream's flags do not leak into the bytes either.
+  std::ostringstream clean;
+  write_sinks(clean, bench.die, bench.sinks);
+  write_delta(clean, d);
+  EXPECT_EQ(os.str(), clean.str());
 }
 
 TEST(Svg, EmitsWellFormedDrawing) {

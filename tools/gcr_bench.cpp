@@ -57,6 +57,7 @@
 #include "obs/session.h"
 #include "io/reqs_io.h"
 #include "io/text_io.h"
+#include "io/tree_io.h"
 #include "perf/memhook.h"
 #include "perf/report.h"
 #include "perf/runner.h"
@@ -211,6 +212,31 @@ void register_io(Groups& g, bool quick) {
       [](std::istream& is, guard::Diag& d, const std::string& f) {
         return io::read_rtl(is, d, f);
       });
+
+  // The writers, into an ostringstream as perfbench's tree_bytes does.
+  g["io"].add("io/write_tree/n=16384", [] {
+    // route_large's shape: 16,384 sinks, K = 32, reduced, one thread.
+    const auto inst = make_instance(16384, 11);
+    core::RouterOptions opts;
+    opts.style = core::TreeStyle::GatedReduced;
+    opts.num_threads = 1;
+    auto tree = std::make_shared<const ct::RoutedTree>(
+        core::GatedClockRouter(inst->design).route(opts).tree);
+    return [tree] {
+      std::ostringstream os;
+      io::write_routed_tree(os, *tree);
+      perf::do_not_optimize(os);
+    };
+  });
+  g["io"].add("io/write_stream/len=" + std::to_string(len), [len] {
+    auto stream = std::make_shared<const activity::InstructionStream>(
+        make_workload(synthetic_rbench(1024, 5), 64, len, 5).stream);
+    return [stream] {
+      std::ostringstream os;
+      io::write_stream(os, *stream);
+      perf::do_not_optimize(os);
+    };
+  });
 }
 
 // --- topology: the Eq. 3 greedy construction -------------------------------
