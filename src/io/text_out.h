@@ -40,6 +40,7 @@ class TextOut {
     return number(v, std::chars_format::general, 17);
   }
 
+  /// Hands the buffered bytes to the stream (which may keep buffering).
   void flush() {
     os_.write(buf_, static_cast<std::streamsize>(len_));
     len_ = 0;
