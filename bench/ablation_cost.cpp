@@ -1,7 +1,8 @@
 /// \file ablation_cost.cpp
 /// Ablation of the paper's key design choice (section 4.2): the topology
-/// generation scheme. Four arms, all with identical gating, reduction and
-/// embedding treatment, so the deltas isolate the merge-order contribution:
+/// generation scheme. Four arms, all routed gate-reduced by the same
+/// router flow (fixed default reduction, centralized controller), so the
+/// deltas isolate the merge-order contribution:
 ///   * mmm          -- top-down means-and-medians [Jackson et al.'90]
 ///   * nearest-nbr  -- bottom-up greedy by distance [Edahiro'91]
 ///   * activity     -- bottom-up greedy by joint enable probability only
@@ -9,65 +10,13 @@
 ///   * min-swcap    -- the paper's Eq. 3 (geometry x activity combined)
 
 #include <iostream>
-#include <memory>
 
-#include "clocktree/elmore.h"
-#include "clocktree/embed.h"
 #include "common.h"
-#include "cts/greedy.h"
-#include "cts/mmm.h"
 #include "eval/table.h"
 
 using namespace gcr;
 
 namespace {
-
-struct AblationRow {
-  double w_total;
-  double w_clock;
-  double w_ctrl;
-  double wirelength;
-};
-
-AblationRow evaluate_topology(const bench::Instance& inst,
-                              const activity::ActivityAnalyzer& an,
-                              const ct::Topology& topo) {
-  const auto mods = cts::identity_modules(inst.design.num_sinks());
-  const tech::TechParams tech;
-
-  std::vector<bool> gated(static_cast<std::size_t>(topo.num_nodes()), true);
-  gated[static_cast<std::size_t>(topo.root())] = false;
-  ct::EmbedOptions eopts;
-  eopts.root_hint = inst.rb.die.center();
-  const auto full = ct::embed(topo, inst.design.sinks, gated, tech, eopts);
-  const auto full_act = gating::compute_node_activity(full, an, mods);
-  gated = gating::reduce_gates(full, full_act.p_en, tech, {});
-  const auto tree = ct::embed(topo, inst.design.sinks, gated, tech, eopts);
-
-  const auto act = gating::compute_node_activity(tree, an, mods);
-  const gating::ControllerPlacement ctrl(inst.rb.die, 1);
-  const auto rep = gating::evaluate_swcap(tree, act, ctrl, tech,
-                                          gating::CellStyle::MaskingGate);
-  return {rep.total_swcap(), rep.clock_swcap, rep.ctrl_swcap,
-          tree.total_wirelength()};
-}
-
-AblationRow run_with_cost(const bench::Instance& inst,
-                          cts::MergeCost cost) {
-  const activity::ActivityAnalyzer an(inst.design.rtl, inst.design.stream);
-  const auto mods = cts::identity_modules(inst.design.num_sinks());
-  cts::BuildOptions bopts;
-  bopts.cost = cost;
-  bopts.control_point = inst.rb.die.center();
-  const auto built = cts::build_topology(inst.design.sinks, &an, mods, bopts);
-  return evaluate_topology(inst, an, built.topo);
-}
-
-AblationRow run_with_mmm(const bench::Instance& inst) {
-  const activity::ActivityAnalyzer an(inst.design.rtl, inst.design.stream);
-  const ct::Topology topo = cts::build_mmm_topology(inst.design.sinks);
-  return evaluate_topology(inst, an, topo);
-}
 
 void print_ablation() {
   std::cout << "=== Ablation: topology generation schemes under identical "
@@ -76,51 +25,32 @@ void print_ablation() {
                  "W vs NN"});
   for (const auto& name : {"r1", "r2", "r3"}) {
     const bench::Instance inst = bench::make_instance(name);
-    const AblationRow mmm = run_with_mmm(inst);
-    const AblationRow nn =
-        run_with_cost(inst, cts::MergeCost::NearestNeighbor);
-    const AblationRow ao = run_with_cost(inst, cts::MergeCost::ActivityOnly);
-    const AblationRow sc =
-        run_with_cost(inst, cts::MergeCost::SwitchedCapacitance);
-    const auto row = [&](const char* label, const AblationRow& r) {
-      t.add_row({name, label, eval::Table::num(r.w_total, 1),
-                 eval::Table::num(r.w_clock, 1), eval::Table::num(r.w_ctrl, 1),
-                 eval::Table::num(r.wirelength / 1e3, 0),
-                 eval::Table::num(r.w_total / nn.w_total, 3)});
+    const core::GatedClockRouter router(inst.design);
+    const auto route = [&](core::TopologyScheme scheme) {
+      core::RouterOptions opts;
+      opts.style = core::TreeStyle::GatedReduced;
+      opts.topology = scheme;
+      return bench::route(router, opts);
     };
-    row("mmm", mmm);
-    row("nearest-nbr", nn);
-    row("activity", ao);
-    row("min-swcap", sc);
+    const auto nn = route(core::TopologyScheme::NearestNeighbor);
+    for (const auto& [scheme, label] :
+         {std::pair{core::TopologyScheme::Mmm, "mmm"},
+          {core::TopologyScheme::NearestNeighbor, "nearest-nbr"},
+          {core::TopologyScheme::ActivityOnly, "activity"},
+          {core::TopologyScheme::MinSwitchedCap, "min-swcap"}}) {
+      const auto r =
+          scheme == core::TopologyScheme::NearestNeighbor ? nn : route(scheme);
+      t.add_row({name, label, eval::Table::num(r.swcap.total_swcap(), 1),
+                 eval::Table::num(r.swcap.clock_swcap, 1),
+                 eval::Table::num(r.swcap.ctrl_swcap, 1),
+                 eval::Table::num(r.tree.total_wirelength() / 1e3, 0),
+                 eval::Table::num(r.swcap.total_swcap() / nn.swcap.total_swcap(), 3)});
+    }
   }
   t.print(std::cout);
   std::cout << '\n';
 }
 
-perf::BenchFactory build_order_cost(bool swcap_cost) {
-  return [swcap_cost] {
-    auto inst = std::make_shared<bench::Instance>(bench::make_instance("r1"));
-    auto an = std::make_shared<activity::ActivityAnalyzer>(
-        inst->design.rtl, inst->design.stream);
-    auto mods = std::make_shared<std::vector<int>>(
-        cts::identity_modules(inst->design.num_sinks()));
-    cts::BuildOptions opts;
-    opts.cost = swcap_cost ? cts::MergeCost::SwitchedCapacitance
-                           : cts::MergeCost::NearestNeighbor;
-    opts.control_point = inst->rb.die.center();
-    return [inst, an, mods, opts] {
-      auto r = cts::build_topology(inst->design.sinks, an.get(), *mods, opts);
-      perf::do_not_optimize(r.topo.root());
-    };
-  };
-}
-
-const perf::Registrar reg_nn{"ablation_cost/build/nn", build_order_cost(false)};
-const perf::Registrar reg_sw{"ablation_cost/build/swcap",
-                             build_order_cost(true)};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  return bench::bench_main(argc, argv, print_ablation);
-}
+int main() { print_ablation(); }

@@ -8,7 +8,6 @@
 /// where the imbalance comes from).
 
 #include <iostream>
-#include <memory>
 
 #include "common.h"
 #include "eval/table.h"
@@ -43,7 +42,7 @@ void print_ablation() {
       opts.reduction = gating::GateReductionParams::from_strength(s);
       opts.gate_sizing = sized ? ct::GateSizing::MinWirelength
                                : ct::GateSizing::Unit;
-      const auto r = router.route(opts);
+      const auto r = bench::route(router, opts);
       t.add_row({eval::Table::num(s, 1), sized ? "min-wire" : "unit",
                  eval::Table::num(r.tree.total_wirelength() / 1e3, 0),
                  eval::Table::num(snake_wire(r.tree) / 1e3, 0),
@@ -56,29 +55,6 @@ void print_ablation() {
   std::cout << '\n';
 }
 
-perf::BenchFactory sized_embed(bool sized) {
-  return [sized] {
-    auto inst = std::make_shared<bench::Instance>(bench::make_instance("r1"));
-    auto router =
-        std::make_shared<const core::GatedClockRouter>(inst->design);
-    core::RouterOptions opts;
-    opts.style = core::TreeStyle::GatedReduced;
-    opts.gate_sizing =
-        sized ? ct::GateSizing::MinWirelength : ct::GateSizing::Unit;
-    return [router, opts] {
-      auto r = router->route(opts);
-      perf::do_not_optimize(r.swcap.total_swcap());
-    };
-  };
-}
-
-const perf::Registrar reg_unit{"ablation_sizing/route/unit",
-                               sized_embed(false)};
-const perf::Registrar reg_sized{"ablation_sizing/route/sized",
-                                sized_embed(true)};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  return bench::bench_main(argc, argv, print_ablation);
-}
+int main() { print_ablation(); }

@@ -7,7 +7,6 @@
 /// honored. (Delay unit: ohm*pF = ps.)
 
 #include <iostream>
-#include <memory>
 
 #include "common.h"
 #include "eval/table.h"
@@ -29,7 +28,7 @@ void print_ablation() {
     core::RouterOptions opts;
     opts.style = core::TreeStyle::GatedReduced;
     opts.skew_bound = bound;
-    const auto r = router.route(opts);
+    const auto r = bench::route(router, opts);
     if (bound == 0.0) base_w = r.swcap.total_swcap();
     t.add_row({eval::Table::num(bound, 0),
                eval::Table::num(r.delays.skew(), 3),
@@ -41,28 +40,6 @@ void print_ablation() {
   std::cout << '\n';
 }
 
-perf::BenchFactory bounded_embed(double skew_bound) {
-  return [skew_bound] {
-    auto inst = std::make_shared<bench::Instance>(bench::make_instance("r1"));
-    auto router =
-        std::make_shared<const core::GatedClockRouter>(inst->design);
-    core::RouterOptions opts;
-    opts.style = core::TreeStyle::GatedReduced;
-    opts.skew_bound = skew_bound;
-    return [router, opts] {
-      auto r = router->route(opts);
-      perf::do_not_optimize(r.swcap.total_swcap());
-    };
-  };
-}
-
-const perf::Registrar reg_zskew{"ablation_skew_bound/route/zskew",
-                                bounded_embed(0.0)};
-const perf::Registrar reg_bounded{"ablation_skew_bound/route/bound=50",
-                                  bounded_embed(50.0)};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  return bench::bench_main(argc, argv, print_ablation);
-}
+int main() { print_ablation(); }

@@ -1,32 +1,20 @@
 #pragma once
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <optional>
+#include <algorithm>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "benchdata/rbench.h"
 #include "benchdata/workload.h"
 #include "core/router.h"
-#include "obs/metrics.h"
-#include "obs/session.h"
-#include "obs/timer.h"
-#include "perf/memhook.h"
-#include "perf/report.h"
-#include "perf/runner.h"
 #include "verify/invariants.h"
 
 /// \file common.h
-/// Shared setup for the paper-reproduction benches: build a Design for an
-/// r-benchmark with the evaluation workload of section 5 (20k-cycle stream,
-/// ~40% average module activity unless overridden), plus `bench_main` --
-/// the common entry point that prints the paper tables and then runs the
-/// binary's registered timed benchmarks (perf::Registrar) through the
-/// statistical runner.
+/// Shared setup for the paper gate and the extension studies: build a
+/// Design for an r-benchmark with the evaluation workload of section 5
+/// (20k-cycle stream, ~40% average module activity unless overridden), and
+/// route it under the verify invariant checker. Timing lives in
+/// `gcr_bench`, not here.
 
 namespace gcr::bench {
 
@@ -35,14 +23,15 @@ struct Instance {
   core::Design design;
 };
 
-inline benchdata::WorkloadSpec eval_workload_spec(int num_sinks,
-                                                  double activity = 0.4) {
+/// r-benchmark `name` with the evaluation workload of section 5.
+inline Instance make_instance(const std::string& name, double activity = 0.4) {
+  benchdata::RBench rb = benchdata::generate_rbench(name);
   benchdata::WorkloadSpec w;
   w.num_instructions = 32;
   // Functional blocks have bounded size in a real floorplan: scale the
   // cluster count with the design so co-active modules stay spatially
   // local on the larger benchmarks too.
-  w.num_clusters = std::max(16, num_sinks / 32);
+  w.num_clusters = std::max(16, rb.spec.num_sinks / 32);
   w.target_activity = activity;
   w.in_cluster_use = 0.9;
   // Real program traces are phase-local: consecutive cycles usually run
@@ -51,24 +40,16 @@ inline benchdata::WorkloadSpec eval_workload_spec(int num_sinks,
   w.locality = 0.85;
   w.stream_length = 20000;
   w.seed = 2026;
-  return w;
-}
-
-inline Instance make_instance(const std::string& name, double activity = 0.4) {
-  benchdata::RBench rb = benchdata::generate_rbench(name);
-  benchdata::Workload wl = benchdata::generate_workload(
-      eval_workload_spec(rb.spec.num_sinks, activity), rb.sinks, rb.die);
+  benchdata::Workload wl = benchdata::generate_workload(w, rb.sinks, rb.die);
   core::Design d{rb.die, rb.sinks, std::move(wl.rtl), std::move(wl.stream), {}};
   return {std::move(rb), std::move(d)};
 }
 
-/// When GCR_BENCH_SELFCHECK is set (any non-empty value), every bench route
-/// runs under the verify invariant checker; a violation throws and fails
-/// the bench. Off by default -- the checker costs an extra O(N) re-derive
-/// per route, which would perturb the timing columns.
-inline bool selfcheck_enabled() {
-  const char* v = std::getenv("GCR_BENCH_SELFCHECK");
-  return v && *v;
+/// Every bench route runs under the verify invariant checker: a violation
+/// throws verify::VerificationError and fails the binary.
+inline core::RouterResult route(const core::GatedClockRouter& router,
+                                const core::RouterOptions& opts) {
+  return router.route(opts, verify::make_self_check(router));
 }
 
 inline core::RouterResult run_style(const core::GatedClockRouter& router,
@@ -78,96 +59,7 @@ inline core::RouterResult run_style(const core::GatedClockRouter& router,
   opts.style = style;
   opts.controller_partitions = partitions;
   opts.auto_tune_reduction = auto_tune;
-  if (selfcheck_enabled()) {
-    return router.route(opts, verify::make_self_check(router));
-  }
-  return router.route(opts);
-}
-
-/// Common main for the bench binaries. Flow:
-///   1. when GCR_BENCH_NAME is set (scripts/reproduce_all.sh exports it per
-///      binary), bind an observability session for the whole run;
-///   2. print the paper tables (`print_tables`, skipped by --no-tables);
-///   3. run the binary's perf::Registrar benchmarks through the statistical
-///      runner (GCR_BENCH_QUICK=1 or --quick selects the quick tier);
-///   4. finalize: write `${GCR_BENCH_JSON_DIR:-.}/BENCH_<name>.json` -- a
-///      v2 bench report -- creating the directory if missing.
-///
-/// The sidecar is written here, explicitly, before returning: the previous
-/// design wrote it from a global's destructor, which ran during static
-/// destruction after the obs registry could already be gone.
-///
-/// Flags: --quick --filter SUBSTR --no-tables --mem (enable the allocation
-/// hook; off by default so timing columns are undisturbed).
-inline int bench_main(int argc, char** argv, void (*print_tables)()) {
-  perf::RunnerOptions opts = perf::RunnerOptions::from_env();
-  bool tables = true;
-  bool mem = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--quick") {
-      opts = perf::RunnerOptions::quick_tier();
-    } else if (flag == "--filter" && i + 1 < argc) {
-      opts.filter = argv[++i];
-    } else if (flag == "--no-tables") {
-      tables = false;
-    } else if (flag == "--mem") {
-      mem = true;
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--quick] [--filter SUBSTR] [--no-tables] [--mem]\n";
-      return 2;
-    }
-  }
-
-  const char* name_env = std::getenv("GCR_BENCH_NAME");
-  const std::string bench_name = name_env ? name_env : "";
-  const bool observed = !bench_name.empty();
-
-  if (mem && perf::memhook::available()) perf::memhook::enable();
-
-  obs::Session session;
-  std::optional<obs::Bind> bind;
-  if (observed) {
-    obs::set_metrics_enabled(true);
-    obs::Registry::global().reset();
-    bind.emplace(&session);
-  }
-
-  try {
-    if (tables && print_tables) {
-      obs::ScopedTimer t("tables");
-      print_tables();
-    }
-
-    std::vector<perf::BenchResult> results;
-    if (!perf::default_runner().empty()) {
-      std::cout << "=== timed benchmarks (median over adaptive reps"
-                << (opts.quick ? ", quick tier" : "") << ") ===\n";
-      results = perf::default_runner().run(opts, &std::cerr);
-      perf::print_results(std::cout, results);
-    }
-
-    if (observed) {
-      bind.reset();  // close the session before serializing it
-      const char* dir_env = std::getenv("GCR_BENCH_JSON_DIR");
-      const std::string dir = dir_env && *dir_env ? dir_env : ".";
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      const std::string path = dir + "/BENCH_" + bench_name + ".json";
-      std::ofstream os(path);
-      if (os) {
-        perf::write_bench_report(os, bench_name, results, opts, &session);
-      } else {
-        std::cerr << "warning: cannot write " << path << '\n';
-      }
-      obs::set_metrics_enabled(false);
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "bench error: " << e.what() << '\n';
-    return 1;
-  }
-  return 0;
+  return route(router, opts);
 }
 
 }  // namespace gcr::bench

@@ -7,7 +7,6 @@
 /// the enable-wire cost the controller already pays.
 
 #include <iostream>
-#include <memory>
 
 #include "common.h"
 #include "eval/table.h"
@@ -25,16 +24,14 @@ void print_report() {
     const bench::Instance inst = bench::make_instance(name);
     const core::GatedClockRouter router(inst.design);
     for (const int k : {1, 4, 16}) {
-      core::RouterOptions opts;
-      opts.style = core::TreeStyle::GatedReduced;
-      opts.controller_partitions = k;
-      opts.auto_tune_reduction = true;
-      const auto r = router.route(opts);
+      const auto r = bench::run_style(router, core::TreeStyle::GatedReduced,
+                                      k, /*auto_tune=*/true);
       const gating::ControllerPlacement ctrl(inst.rb.die, k);
       for (const auto style :
            {gating::LogicStyle::Flat, gating::LogicStyle::Hierarchical}) {
         const auto rep = gating::synthesize_controller_logic(
-            r.tree, r.activity, router.analyzer(), ctrl, opts.tech, style);
+            r.tree, r.activity, router.analyzer(), ctrl, tech::TechParams{},
+            style);
         t.add_row({name, std::to_string(k),
                    style == gating::LogicStyle::Flat ? "flat" : "hierarchical",
                    std::to_string(rep.num_enables),
@@ -50,33 +47,6 @@ void print_report() {
                "distribution limits reuse to same-partition enables)\n\n";
 }
 
-perf::BenchFactory logic_synthesis(gating::LogicStyle style) {
-  return [style] {
-    auto inst = std::make_shared<bench::Instance>(bench::make_instance("r1"));
-    auto router =
-        std::make_shared<const core::GatedClockRouter>(inst->design);
-    core::RouterOptions opts;
-    opts.style = core::TreeStyle::Gated;
-    auto r = std::make_shared<const core::RouterResult>(router->route(opts));
-    auto ctrl =
-        std::make_shared<const gating::ControllerPlacement>(inst->rb.die, 1);
-    const tech::TechParams tech = opts.tech;
-    return [router, r, ctrl, tech, style] {
-      auto rep = gating::synthesize_controller_logic(
-          r->tree, r->activity, router->analyzer(), *ctrl, tech, style);
-      perf::do_not_optimize(rep.num_or_gates);
-    };
-  };
-}
-
-const perf::Registrar reg_flat{"controller_logic/synthesize/flat",
-                               logic_synthesis(gating::LogicStyle::Flat)};
-const perf::Registrar reg_hier{
-    "controller_logic/synthesize/hierarchical",
-    logic_synthesis(gating::LogicStyle::Hierarchical)};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  return bench::bench_main(argc, argv, print_report);
-}
+int main() { print_report(); }

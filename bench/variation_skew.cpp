@@ -8,7 +8,6 @@
 /// Monte-Carlo trials per row.
 
 #include <iostream>
-#include <memory>
 
 #include "common.h"
 #include "eval/power.h"
@@ -30,14 +29,12 @@ void print_report() {
        {std::pair{core::TreeStyle::Buffered, "buffered"},
         std::pair{core::TreeStyle::Gated, "gated"},
         std::pair{core::TreeStyle::GatedReduced, "gated+red"}}) {
-    core::RouterOptions opts;
-    opts.style = style;
-    opts.auto_tune_reduction = style == core::TreeStyle::GatedReduced;
-    const auto r = router.route(opts);
+    const auto r = bench::run_style(router, style, /*partitions=*/1,
+                                    style == core::TreeStyle::GatedReduced);
     eval::VariationSpec spec;
     spec.trials = 200;
     const eval::VariationReport rep =
-        eval::variation_analysis(r.tree, opts.tech, spec);
+        eval::variation_analysis(r.tree, tech::TechParams{}, spec);
     t.add_row({label, eval::Table::num(r.delays.max_delay, 0),
                eval::Table::num(rep.mean_skew, 1),
                eval::Table::num(rep.p95_skew, 1),
@@ -50,29 +47,6 @@ void print_report() {
   std::cout << '\n';
 }
 
-perf::BenchFactory variation_trials(int trials) {
-  return [trials] {
-    auto inst = std::make_shared<bench::Instance>(bench::make_instance("r1"));
-    const core::GatedClockRouter router(inst->design);
-    core::RouterOptions opts;
-    opts.style = core::TreeStyle::GatedReduced;
-    auto r = std::make_shared<const core::RouterResult>(router.route(opts));
-    const tech::TechParams tech = opts.tech;
-    eval::VariationSpec spec;
-    spec.trials = trials;
-    return [r, tech, spec] {
-      auto rep = eval::variation_analysis(r->tree, tech, spec);
-      perf::do_not_optimize(rep.mean_skew);
-    };
-  };
-}
-
-const perf::Registrar reg_t50{"variation/trials/n=50", variation_trials(50)};
-const perf::Registrar reg_t200{"variation/trials/n=200",
-                               variation_trials(200)};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  return bench::bench_main(argc, argv, print_report);
-}
+int main() { print_report(); }

@@ -8,12 +8,12 @@
 /// why training on representative workloads matters.
 
 #include <iostream>
-#include <memory>
 
 #include "benchdata/rbench.h"
 #include "common.h"
 #include "core/router.h"
 #include "cpu/bridge.h"
+#include "cts/greedy.h"
 #include "eval/simulate.h"
 #include "eval/table.h"
 
@@ -27,9 +27,8 @@ void print_matrix() {
   benchdata::RBench rb = benchdata::generate_rbench("r1");
   const cpu::UnitFloorplan plan = cpu::assign_units(rb.sinks);
   const activity::RtlDescription rtl = cpu::make_rtl(plan);
-  std::vector<int> modules(rb.sinks.size());
-  for (std::size_t i = 0; i < modules.size(); ++i)
-    modules[i] = static_cast<int>(i);
+  const std::vector<int> modules =
+      cts::identity_modules(static_cast<int>(rb.sinks.size()));
 
   // Replay traces: each kernel alone, plus the mix.
   struct Replay {
@@ -55,7 +54,7 @@ void print_matrix() {
     // training trace placed (and kept) gates.
     opts.topology = core::TopologyScheme::NearestNeighbor;
     opts.auto_tune_reduction = true;
-    const auto routed = router.route(opts);
+    const auto routed = bench::route(router, opts);
 
     std::vector<std::string> row{train.name};
     for (const auto& replay : replays) {
@@ -73,40 +72,6 @@ void print_matrix() {
                "workload.)\n\n";
 }
 
-struct ReplayFixture {
-  activity::RtlDescription rtl;
-  activity::InstructionStream mix;
-  std::vector<int> modules;
-  gating::ControllerPlacement ctrl;
-  core::RouterResult routed;
-  tech::TechParams tech;
-};
-
-const perf::Registrar reg_replay{"workload/simulate_replay", [] {
-  benchdata::RBench rb = benchdata::generate_rbench("r1");
-  const cpu::UnitFloorplan plan = cpu::assign_units(rb.sinks);
-  activity::RtlDescription rtl = cpu::make_rtl(plan);
-  activity::InstructionStream mix = cpu::multiprogram_stream(20000);
-  std::vector<int> modules(rb.sinks.size());
-  for (std::size_t i = 0; i < modules.size(); ++i)
-    modules[i] = static_cast<int>(i);
-  core::Design d{rb.die, rb.sinks, rtl, mix, {}};
-  const core::GatedClockRouter router(std::move(d));
-  core::RouterOptions opts;
-  opts.style = core::TreeStyle::GatedReduced;
-  auto fx = std::make_shared<ReplayFixture>(
-      ReplayFixture{std::move(rtl), std::move(mix), std::move(modules),
-                    gating::ControllerPlacement(rb.die, 1),
-                    router.route(opts), opts.tech});
-  return [fx] {
-    auto sim = eval::simulate_swcap(fx->routed.tree, fx->rtl, fx->mix,
-                                    fx->modules, fx->ctrl, fx->tech, true);
-    perf::do_not_optimize(sim.total_per_cycle());
-  };
-}};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  return bench::bench_main(argc, argv, print_matrix);
-}
+int main() { print_matrix(); }

@@ -3,8 +3,8 @@
 # log and benchmark sidecars, into out/.
 #
 # Usage: scripts/reproduce_all.sh [build-dir]
-#   GCR_BENCH_QUICK=1  run all timed sections in the quick tier (fewer
-#                      reps, tighter time caps) -- what CI uses.
+#   GCR_BENCH_QUICK=1  run gcr_bench in the quick tier (fewer reps, tighter
+#                      time caps).
 set -euo pipefail
 
 BUILD="${1:-build}"
@@ -43,22 +43,20 @@ mkdir -p "$demo"
   --stream "$demo/demo.stream" --auto-tune --selftest > /dev/null
 
 # The registered benchmark suite: statistics + memory sidecars per group
-# (BENCH_<group>.json), schema-validated. GCR_BENCH_QUICK propagates into
-# both gcr_bench and the per-figure binaries below.
+# (BENCH_<group>.json), schema-validated.
 "$BUILD"/tools/gcr_bench ${GCR_BENCH_QUICK:+--quick} --out "$OUT" \
   2>&1 | tee "$OUT/gcr_bench.txt"
 "$BUILD"/tools/gcr_benchdiff --validate "$OUT"/BENCH_*.json
 
+# The paper gate (every claim in its band, the tables EXPERIMENTS.md
+# carries) and the extension studies, each routed under the invariant
+# checker; a failed claim or check aborts the reproduction.
 for b in "$BUILD"/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue
   name="$(basename "$b")"
   echo "== $name =="
-  # Each bench also drops a machine-readable BENCH_<name>.json sidecar
-  # (timing statistics + phase tree + counters) next to its text output.
-  GCR_BENCH_NAME="$name" GCR_BENCH_JSON_DIR="$OUT" \
-    "$b" 2>&1 | tee "$OUT/$name.txt"
+  "$b" 2>&1 | tee "$OUT/$name.txt"
 done
-"$BUILD"/tools/gcr_benchdiff --validate "$OUT"/BENCH_*.json
 
 "$BUILD"/examples/layout_svg "$OUT"
 echo "All outputs in $OUT/"

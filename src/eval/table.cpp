@@ -55,4 +55,15 @@ void Table::print_csv(std::ostream& os) const {
   for (const auto& row : rows_) line(row);
 }
 
+void Table::print_markdown(std::ostream& os) const {
+  const auto line = [&](const std::vector<std::string>& cells) {
+    for (const auto& cell : cells) os << "| " << cell << ' ';
+    os << "|\n";
+  };
+  line(headers_);
+  for (std::size_t c = 0; c < headers_.size(); ++c) os << "|---";
+  os << "|\n";
+  for (const auto& row : rows_) line(row);
+}
+
 }  // namespace gcr::eval

@@ -5,8 +5,9 @@
 #include <vector>
 
 /// \file table.h
-/// Minimal aligned-table / CSV printer shared by the benchmark harnesses so
-/// every regenerated paper table prints in one consistent format.
+/// Minimal aligned-table / CSV / markdown printer shared by the benchmark
+/// harnesses so every regenerated paper table prints in one consistent
+/// format.
 
 namespace gcr::eval {
 
@@ -22,6 +23,8 @@ class Table {
 
   void print(std::ostream& os) const;
   void print_csv(std::ostream& os) const;
+  /// GitHub-flavored markdown: `| a | b |` rows under a `|---|---|` rule.
+  void print_markdown(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

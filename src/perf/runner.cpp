@@ -141,15 +141,6 @@ std::vector<BenchResult> Runner::run(const RunnerOptions& opts,
   return results;
 }
 
-Runner& default_runner() {
-  static Runner* r = new Runner();  // leaked: outlive static destructors
-  return *r;
-}
-
-Registrar::Registrar(const char* name, BenchFactory make) {
-  default_runner().add(name, std::move(make));
-}
-
 namespace {
 
 /// "group/query/n=128" -> {"group/query", 128}; nullopt when the last

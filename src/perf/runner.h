@@ -18,14 +18,13 @@
 /// design, constructing the activity tables) runs once, outside the timed
 /// region:
 ///
-///   perf::Registrar reg{"route/r1/buffered", [] {
-///     auto inst = std::make_shared<bench::Instance>(make_instance("r1"));
-///     auto router = std::make_shared<core::GatedClockRouter>(inst->design);
+///   runner.add("route/r1/buffered", [] {
+///     auto router = std::make_shared<core::GatedClockRouter>(make_design());
 ///     return [=] {
 ///       auto r = router->route({});
 ///       perf::do_not_optimize(r.swcap.total_swcap());
 ///     };
-///   }};
+///   });
 ///
 /// Name convention: `group/what[/variant][/n=<size>]`, '/'-separated.
 /// `gcr_bench` writes one `BENCH_<group>.json` sidecar per group, and the
@@ -89,7 +88,6 @@ class Runner {
   void add(std::string name, BenchFactory make);
 
   [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// Run every registered benchmark whose name matches `opts.filter`, in
   /// registration order. Progress lines (one per benchmark) go to
@@ -103,15 +101,6 @@ class Runner {
     BenchFactory make;
   };
   std::vector<Entry> entries_;
-};
-
-/// The process-global runner that `Registrar` feeds; what `bench_main` and
-/// `gcr_bench` execute.
-[[nodiscard]] Runner& default_runner();
-
-/// Static-initializer registration into `default_runner()`.
-struct Registrar {
-  Registrar(const char* name, BenchFactory make);
 };
 
 /// Keep `v` (and everything feeding it) out of the optimizer's reach. The

@@ -118,6 +118,41 @@ TEST_F(PaperExampleTest, ImattRowsSumToOne) {
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
+TEST_F(PaperExampleTest, Table3ImattRowsAndActivationTags) {
+  // Table 3 in full: each occurring pair (in row order), its count over
+  // the 19 consecutive pairs, and the tags of M1..M6 (cur used, nxt used).
+  struct Row {
+    int cur, nxt, count;
+    const char* tags[6];
+  };
+  const Row want[] = {
+      {0, 0, 1, {"11", "11", "11", "00", "11", "00"}},
+      {0, 1, 4, {"11", "10", "10", "01", "10", "00"}},
+      {0, 2, 2, {"10", "11", "10", "00", "11", "01"}},
+      {0, 3, 1, {"10", "10", "11", "01", "10", "00"}},
+      {1, 0, 4, {"11", "01", "01", "10", "01", "00"}},
+      {1, 2, 1, {"10", "01", "00", "10", "01", "01"}},
+      {1, 3, 1, {"10", "00", "01", "11", "00", "00"}},
+      {2, 0, 2, {"01", "11", "01", "00", "11", "10"}},
+      {2, 1, 1, {"01", "10", "00", "01", "10", "10"}},
+      {3, 1, 2, {"01", "00", "10", "11", "00", "00"}},
+  };
+  const char* tag_names[] = {"00", "01", "10", "11"};
+  const Imatt imatt(ex.stream, 4);
+  ASSERT_EQ(imatt.rows().size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    const ImattRow& row = imatt.rows()[i];
+    EXPECT_EQ(row.cur, want[i].cur) << "row " << i;
+    EXPECT_EQ(row.nxt, want[i].nxt) << "row " << i;
+    EXPECT_NEAR(row.prob * 19.0, want[i].count, 1e-12) << "row " << i;
+    for (int m = 0; m < 6; ++m) {
+      EXPECT_STREQ(tag_names[Imatt::activation_tag(ex.rtl, row, m)],
+                   want[i].tags[m])
+          << "row " << i << " M" << m + 1;
+    }
+  }
+}
+
 TEST_F(PaperExampleTest, ImattActivationTags) {
   const Imatt imatt(ex.stream, 4);
   // For the pair (I1, I2): M1 used by both -> tag 11b; M5 used only by I1
