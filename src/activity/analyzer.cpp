@@ -9,14 +9,16 @@ namespace gcr::activity {
 
 ActivityAnalyzer::ActivityAnalyzer(const RtlDescription& rtl,
                                    const InstructionStream& stream)
-    : ActivityAnalyzer(rtl, stream, obs::ScopedTimer("analyze")) {}
+    : ActivityAnalyzer{rtl, obs::ScopedTimer("analyze"),
+                       count_stream(stream, rtl.num_instructions())} {}
 
 ActivityAnalyzer::ActivityAnalyzer(const RtlDescription& rtl,
-                                   const InstructionStream& stream,
-                                   const obs::ScopedTimer& /*timer*/)
+                                   const obs::ScopedTimer& /*timer*/,
+                                   const StreamCounts& counts)
     : rtl_(&rtl),
-      ift_(stream, rtl.num_instructions()),
-      imatt_(stream, rtl.num_instructions()),
+      ift_(counts),
+      imatt_(counts),
+      ids_(counts.ids),
       sig_queries_(
           &obs::Registry::global().counter("activity.signal_prob_queries")),
       tr_queries_(

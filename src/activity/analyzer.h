@@ -9,8 +9,9 @@
 
 /// \file analyzer.h
 /// The table-driven activity engine (paper section 3.3). Built once per
-/// workload from a single scan of the instruction stream, it answers the two
-/// queries the clock-tree constructor issues millions of times:
+/// workload from a single scan of the instruction stream (count_stream), it
+/// answers the two queries the clock-tree constructor issues millions of
+/// times:
 ///
 ///   * P(EN)    -- signal probability of a subtree enable, and
 ///   * P_tr(EN) -- transition probability of that enable,
@@ -38,6 +39,11 @@ class ActivityAnalyzer {
   [[nodiscard]] const Imatt& imatt() const { return imatt_; }
   [[nodiscard]] int num_instructions() const { return ift_.num_instructions(); }
 
+  /// The stream's ids outside [0, K), found by the same scan. The tables
+  /// leave them out; validation turns a nonzero count into GCR_E_STREAM_ID,
+  /// so a router never rescans its stream to range-check it.
+  [[nodiscard]] const StreamIdSummary& stream_ids() const { return ids_; }
+
   /// The activation mask of a single module: instructions that use it.
   [[nodiscard]] const ActivationMask& module_mask(ModuleId m) const {
     return module_masks_.at(m);
@@ -62,14 +68,16 @@ class ActivityAnalyzer {
 
  private:
   /// Delegation target; the public ctor passes a ScopedTimer temporary that
-  /// lives for the whole delegation, so the "analyze" phase covers the
-  /// IFT/IMATT stream scans in the member-init list as well.
-  ActivityAnalyzer(const RtlDescription& rtl, const InstructionStream& stream,
-                   const obs::ScopedTimer& timer);
+  /// lives for the whole delegation, and -- braced arguments evaluate left
+  /// to right -- starts before the stream scan, so the "analyze" phase
+  /// covers the count as well as the tables.
+  ActivityAnalyzer(const RtlDescription& rtl, const obs::ScopedTimer& timer,
+                   const StreamCounts& counts);
 
   const RtlDescription* rtl_;
   Ift ift_;
   Imatt imatt_;
+  StreamIdSummary ids_;
   std::vector<ActivationMask> module_masks_;
   std::vector<double> touch_;  ///< touch(a)
   std::vector<double> q_;      ///< K*K symmetric Q(a,b)

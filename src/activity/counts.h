@@ -1,0 +1,30 @@
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "activity/stream.h"
+
+/// \file counts.h
+/// The one scan of the instruction stream that the IFT and the IMATT are
+/// built from (paper sections 3.2-3.3): how often each instruction issues
+/// and how often each ordered pair issues in consecutive cycles. 32-bit
+/// counts suffice because a stream's length is an int.
+
+namespace gcr::activity {
+
+struct StreamCounts {
+  int num_instructions{0};
+  int length{0};                     ///< cycles scanned, bad ids included
+  std::vector<std::uint32_t> instr;  ///< K issue counts
+  std::vector<std::uint32_t> pairs;  ///< K*K, [cur * K + nxt]
+  StreamIdSummary ids;               ///< entries outside [0, K)
+};
+
+/// Count `stream` against K = `num_instructions` in one pass (O(B + K^2)).
+/// An out-of-range id is recorded in `ids` and never indexed with: it is
+/// left out of `instr`, and so is every pair it belongs to.
+[[nodiscard]] StreamCounts count_stream(const InstructionStream& stream,
+                                        int num_instructions);
+
+}  // namespace gcr::activity

@@ -4,13 +4,13 @@
 
 namespace gcr::activity {
 
-Ift::Ift(const InstructionStream& stream, int num_instructions)
-    : probs_(static_cast<std::size_t>(num_instructions), 0.0) {
-  assert(num_instructions > 0);
-  if (stream.seq.empty()) return;
-  for (const InstrId i : stream.seq) probs_.at(i) += 1.0;
-  const double inv = 1.0 / static_cast<double>(stream.seq.size());
-  for (double& p : probs_) p *= inv;
+Ift::Ift(const StreamCounts& counts)
+    : probs_(static_cast<std::size_t>(counts.num_instructions), 0.0) {
+  assert(counts.num_instructions > 0);
+  if (counts.length == 0) return;
+  const double inv = 1.0 / static_cast<double>(counts.length);
+  for (std::size_t i = 0; i < probs_.size(); ++i)
+    probs_[i] = static_cast<double>(counts.instr[i]) * inv;
 }
 
 double Ift::signal_prob(const RtlDescription& rtl, const ModuleSet& s) const {

@@ -3,20 +3,21 @@
 #include <span>
 #include <vector>
 
+#include "activity/counts.h"
 #include "activity/rtl.h"
-#include "activity/stream.h"
 
 /// \file ift.h
 /// Instruction Frequency Table (paper section 3.3, Table 2): the empirical
-/// probability that each instruction executes, built in a single scan of the
-/// instruction stream.
+/// probability that each instruction executes, built from the stream's
+/// counts (activity/counts.h).
 
 namespace gcr::activity {
 
 class Ift {
  public:
-  /// Scan `stream` once; `num_instructions` fixes the table size (O(B + K)).
-  Ift(const InstructionStream& stream, int num_instructions);
+  /// P(I_k) = count(I_k) * (1/B): bit-identical to adding 1.0 per cycle and
+  /// scaling by 1/B, since the sum of ones is the exact count (O(K)).
+  explicit Ift(const StreamCounts& counts);
 
   [[nodiscard]] double prob(InstrId i) const { return probs_.at(i); }
   [[nodiscard]] std::span<const double> probs() const { return probs_; }

@@ -1,21 +1,33 @@
 #include "activity/imatt.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace gcr::activity {
 
-Imatt::Imatt(const InstructionStream& stream, int num_instructions)
-    : num_instructions_(num_instructions),
-      dense_(static_cast<std::size_t>(num_instructions) * num_instructions,
-             0.0) {
-  assert(num_instructions > 0);
-  const int pairs = stream.length() - 1;
+Imatt::Imatt(const StreamCounts& counts)
+    : num_instructions_(counts.num_instructions),
+      dense_(counts.pairs.size(), 0.0) {
+  assert(num_instructions_ > 0);
+  const int pairs = counts.length - 1;
   if (pairs <= 0) return;
   const double inv = 1.0 / static_cast<double>(pairs);
-  for (int t = 0; t + 1 < stream.length(); ++t) {
-    const InstrId a = stream.seq[static_cast<std::size_t>(t)];
-    const InstrId b = stream.seq[static_cast<std::size_t>(t) + 1];
-    dense_[static_cast<std::size_t>(a) * num_instructions_ + b] += inv;
+  // The probability of a pair seen c times is `inv` added to 0.0 c times in
+  // a row, which is not c * inv in the last bits -- and a last-bit change
+  // can flip a greedy tie. The sum depends on c alone, so one running sum,
+  // walked up the cells in count order, yields every cell exactly:
+  // O(max count + K^2 log K) instead of one addition per cycle.
+  std::vector<std::size_t> cells;
+  for (std::size_t i = 0; i < counts.pairs.size(); ++i)
+    if (counts.pairs[i] != 0) cells.push_back(i);
+  std::sort(cells.begin(), cells.end(), [&](std::size_t x, std::size_t y) {
+    return counts.pairs[x] < counts.pairs[y];
+  });
+  double acc = 0.0;
+  std::uint32_t added = 0;
+  for (const std::size_t cell : cells) {
+    for (; added < counts.pairs[cell]; ++added) acc += inv;
+    dense_[cell] = acc;
   }
   for (InstrId a = 0; a < num_instructions_; ++a) {
     for (InstrId b = 0; b < num_instructions_; ++b) {

@@ -3,8 +3,8 @@
 #include <span>
 #include <vector>
 
+#include "activity/counts.h"
 #include "activity/rtl.h"
-#include "activity/stream.h"
 
 /// \file imatt.h
 /// Instruction Transition - Module Activation Table (paper section 3.3,
@@ -30,8 +30,10 @@ struct ImattRow {
 
 class Imatt {
  public:
-  /// Scan `stream` once; rows for unobserved pairs are omitted (prob 0).
-  Imatt(const InstructionStream& stream, int num_instructions);
+  /// Build from the stream's pair counts; rows for unobserved pairs are
+  /// omitted (prob 0). Each probability is bit-identical to adding 1/(B-1)
+  /// once per occurrence (imatt.cpp says why that is not count * 1/(B-1)).
+  explicit Imatt(const StreamCounts& counts);
 
   [[nodiscard]] std::span<const ImattRow> rows() const { return rows_; }
   [[nodiscard]] int num_instructions() const { return num_instructions_; }

@@ -59,7 +59,9 @@ RouteOutcome GatedClockRouter::route_guarded(const RouterOptions& opts,
   RouteOutcome out;
   guard::ValidateOptions vopts;
   vopts.strict = false;  // the router tolerates what it can route
-  if (!guard::validate_design(design_, out.diag, vopts)) return out;
+  if (!guard::validate_design(design_, analyzer_.stream_ids(), out.diag,
+                              vopts))
+    return out;
 
   GCR_LOG_INFO("route.start")
       .kv("sinks", design_.num_sinks())

@@ -153,7 +153,8 @@ class GatedClockRouter {
                                    const SelfCheckHook& self_check = {}) const;
 
   /// The guarded flow: validates the design (leniently -- out-of-die,
-  /// duplicate and zero-cap sinks become warnings), installs `deadline` as
+  /// duplicate and zero-cap sinks become warnings; stream ids are checked
+  /// from the analyzer's count, not rescanned), installs `deadline` as
   /// the ambient deadline for the run, and converts cancellation and
   /// guard errors into diagnostics on the outcome instead of exceptions.
   /// Non-guard exceptions (e.g. a rejecting self-check hook) propagate

@@ -4,6 +4,26 @@
 
 namespace gcr::cpu {
 
+namespace {
+
+// Register arithmetic wraps modulo 2^64, as a hardware ALU does: the
+// kernels hash with overflowing adds and multiplies, which are undefined on
+// signed operands. The conversion back to signed is modular (C++20).
+long long wrap_add(long long a, long long b) {
+  return static_cast<long long>(static_cast<unsigned long long>(a) +
+                                static_cast<unsigned long long>(b));
+}
+long long wrap_sub(long long a, long long b) {
+  return static_cast<long long>(static_cast<unsigned long long>(a) -
+                                static_cast<unsigned long long>(b));
+}
+long long wrap_mul(long long a, long long b) {
+  return static_cast<long long>(static_cast<unsigned long long>(a) *
+                                static_cast<unsigned long long>(b));
+}
+
+}  // namespace
+
 Machine::Machine() : mem_(kMemWords, 0) {}
 
 void Machine::reset() {
@@ -30,8 +50,12 @@ Trace Machine::run(const Program& prog, long long max_cycles) {
 
     long long next_pc = pc + 1;
     switch (in.op) {
-      case Opcode::kAdd: regs_[in.rd] = regs_[in.rs1] + regs_[in.rs2]; break;
-      case Opcode::kSub: regs_[in.rd] = regs_[in.rs1] - regs_[in.rs2]; break;
+      case Opcode::kAdd:
+        regs_[in.rd] = wrap_add(regs_[in.rs1], regs_[in.rs2]);
+        break;
+      case Opcode::kSub:
+        regs_[in.rd] = wrap_sub(regs_[in.rs1], regs_[in.rs2]);
+        break;
       case Opcode::kAnd: regs_[in.rd] = regs_[in.rs1] & regs_[in.rs2]; break;
       case Opcode::kOr: regs_[in.rd] = regs_[in.rs1] | regs_[in.rs2]; break;
       case Opcode::kXor: regs_[in.rd] = regs_[in.rs1] ^ regs_[in.rs2]; break;
@@ -41,12 +65,14 @@ Trace Machine::run(const Program& prog, long long max_cycles) {
       case Opcode::kShr:
         regs_[in.rd] = regs_[in.rs1] >> (in.imm & 63);
         break;
-      case Opcode::kMul: regs_[in.rd] = regs_[in.rs1] * regs_[in.rs2]; break;
+      case Opcode::kMul:
+        regs_[in.rd] = wrap_mul(regs_[in.rs1], regs_[in.rs2]);
+        break;
       case Opcode::kDiv:
         regs_[in.rd] = regs_[in.rs2] == 0 ? 0 : regs_[in.rs1] / regs_[in.rs2];
         break;
       case Opcode::kLi: regs_[in.rd] = in.imm; break;
-      case Opcode::kAddi: regs_[in.rd] = regs_[in.rs1] + in.imm; break;
+      case Opcode::kAddi: regs_[in.rd] = wrap_add(regs_[in.rs1], in.imm); break;
       case Opcode::kLd: regs_[in.rd] = mem_[mem_addr(regs_[in.rs1])]; break;
       case Opcode::kSt: mem_[mem_addr(regs_[in.rs1])] = regs_[in.rs2]; break;
       case Opcode::kBeq:

@@ -13,9 +13,31 @@ std::string idx(const char* what, std::size_t i) {
   return std::string(what) + " " + std::to_string(i);
 }
 
+/// The single GCR_E_STREAM_ID finding: one aggregate error, not one per
+/// cycle.
+void report_stream_ids(const activity::StreamIdSummary& ids,
+                       int num_instructions, Diag& diag) {
+  if (ids.bad == 0) return;
+  diag.error(Code::StreamId,
+             std::to_string(ids.bad) +
+                 " stream entries reference instructions outside [0, " +
+                 std::to_string(num_instructions) + "); first at cycle " +
+                 std::to_string(ids.first_cycle) + " (id " +
+                 std::to_string(ids.first_id) + ")");
+}
+
 }  // namespace
 
 bool validate_design(const core::Design& design, Diag& diag,
+                     const ValidateOptions& opts) {
+  return validate_design(
+      design,
+      activity::scan_stream_ids(design.stream, design.rtl.num_instructions()),
+      diag, opts);
+}
+
+bool validate_design(const core::Design& design,
+                     const activity::StreamIdSummary& stream_ids, Diag& diag,
                      const ValidateOptions& opts) {
   const std::size_t errors_before = diag.error_count();
   const auto demote = [&](Code c, std::string msg) {
@@ -116,27 +138,7 @@ bool validate_design(const core::Design& design, Diag& diag,
   }
 
   // --- stream -------------------------------------------------------------
-  const int num_instr = design.rtl.num_instructions();
-  std::size_t bad_ids = 0;
-  std::size_t first_bad = 0;
-  int first_bad_id = 0;
-  for (std::size_t t = 0; t < design.stream.seq.size(); ++t) {
-    const int id = design.stream.seq[t];
-    if (id < 0 || id >= num_instr) {
-      if (bad_ids == 0) {
-        first_bad = t;
-        first_bad_id = id;
-      }
-      ++bad_ids;
-    }
-  }
-  if (bad_ids > 0)
-    diag.error(Code::StreamId,
-               std::to_string(bad_ids) +
-                   " stream entries reference instructions outside [0, " +
-                   std::to_string(num_instr) + "); first at cycle " +
-                   std::to_string(first_bad) + " (id " +
-                   std::to_string(first_bad_id) + ")");
+  report_stream_ids(stream_ids, design.rtl.num_instructions(), diag);
   if (design.stream.seq.empty())
     diag.warning(Code::EmptyStream,
                  "instruction stream is empty; activity factors fall back "

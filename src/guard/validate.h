@@ -56,8 +56,15 @@ struct ValidateOptions {
 };
 
 /// Reports every finding into `diag`; true when no *errors* were added
-/// (warnings alone do not fail validation).
+/// (warnings alone do not fail validation). Range-checks the stream with
+/// one scan of design.stream.
 bool validate_design(const core::Design& design, Diag& diag,
                      const ValidateOptions& opts = {});
+
+/// The same checks, with the stream's out-of-range summary already counted
+/// (the router's ActivityAnalyzer holds it), so the stream is not rescanned.
+bool validate_design(const core::Design& design,
+                     const activity::StreamIdSummary& stream_ids, Diag& diag,
+                     const ValidateOptions& opts);
 
 }  // namespace gcr::guard

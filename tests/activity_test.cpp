@@ -71,7 +71,7 @@ TEST_F(PaperExampleTest, Table1RtlDescription) {
 }
 
 TEST_F(PaperExampleTest, Table2InstructionFrequencies) {
-  const Ift ift(ex.stream, 4);
+  const Ift ift(count_stream(ex.stream, 4));
   EXPECT_DOUBLE_EQ(ift.prob(0), 8.0 / 20.0);
   EXPECT_DOUBLE_EQ(ift.prob(1), 7.0 / 20.0);
   EXPECT_DOUBLE_EQ(ift.prob(2), 3.0 / 20.0);
@@ -86,14 +86,14 @@ TEST_F(PaperExampleTest, QuotedModule1Probability) {
 
 TEST_F(PaperExampleTest, QuotedEnableSignalProbability) {
   // Paper: P(EN{M5,M6}) = P(I1) + P(I3) = 11/20 = 0.55.
-  const Ift ift(ex.stream, 4);
+  const Ift ift(count_stream(ex.stream, 4));
   const ModuleSet s = modules(6, {4, 5});
   EXPECT_DOUBLE_EQ(ift.signal_prob(ex.rtl, s), 0.55);
 }
 
 TEST_F(PaperExampleTest, QuotedEnableTransitionProbability) {
   // The reconstructed stream toggles EN{M5,M6} 11 times over 19 pairs.
-  const Imatt imatt(ex.stream, 4);
+  const Imatt imatt(count_stream(ex.stream, 4));
   const ModuleSet s = modules(6, {4, 5});
   EXPECT_NEAR(imatt.transition_prob(ex.rtl, s), 11.0 / 19.0, 1e-12);
 }
@@ -112,7 +112,7 @@ TEST_F(PaperExampleTest, TableDrivenMatchesBruteForceOnAllPairs) {
 }
 
 TEST_F(PaperExampleTest, ImattRowsSumToOne) {
-  const Imatt imatt(ex.stream, 4);
+  const Imatt imatt(count_stream(ex.stream, 4));
   double total = 0.0;
   for (const ImattRow& row : imatt.rows()) total += row.prob;
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -138,7 +138,7 @@ TEST_F(PaperExampleTest, Table3ImattRowsAndActivationTags) {
       {3, 1, 2, {"01", "00", "10", "11", "00", "00"}},
   };
   const char* tag_names[] = {"00", "01", "10", "11"};
-  const Imatt imatt(ex.stream, 4);
+  const Imatt imatt(count_stream(ex.stream, 4));
   ASSERT_EQ(imatt.rows().size(), std::size(want));
   for (std::size_t i = 0; i < std::size(want); ++i) {
     const ImattRow& row = imatt.rows()[i];
@@ -154,7 +154,7 @@ TEST_F(PaperExampleTest, Table3ImattRowsAndActivationTags) {
 }
 
 TEST_F(PaperExampleTest, ImattActivationTags) {
-  const Imatt imatt(ex.stream, 4);
+  const Imatt imatt(count_stream(ex.stream, 4));
   // For the pair (I1, I2): M1 used by both -> tag 11b; M5 used only by I1
   // -> tag 10b; M4 used only by I2 -> tag 01b; M6 by neither -> 00b.
   const ImattRow row{0, 1, 0.0};
@@ -168,7 +168,7 @@ TEST_F(PaperExampleTest, ImattActivationTags) {
 
 TEST(Ift, ProbabilitiesSumToOne) {
   InstructionStream s{{0, 1, 2, 1, 0, 0, 3}};
-  const Ift ift(s, 4);
+  const Ift ift(count_stream(s, 4));
   double total = 0.0;
   for (const double p : ift.probs()) total += p;
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -177,14 +177,14 @@ TEST(Ift, ProbabilitiesSumToOne) {
 
 TEST(Ift, EmptyStreamGivesZeros) {
   InstructionStream s;
-  const Ift ift(s, 3);
+  const Ift ift(count_stream(s, 3));
   EXPECT_DOUBLE_EQ(ift.prob(0), 0.0);
   EXPECT_DOUBLE_EQ(ift.prob(2), 0.0);
 }
 
 TEST(Imatt, PairProbCounts) {
   InstructionStream s{{0, 1, 0, 1, 1}};
-  const Imatt imatt(s, 2);
+  const Imatt imatt(count_stream(s, 2));
   // Pairs: (0,1) (1,0) (0,1) (1,1) over 4 pairs.
   EXPECT_DOUBLE_EQ(imatt.pair_prob(0, 1), 0.5);
   EXPECT_DOUBLE_EQ(imatt.pair_prob(1, 0), 0.25);
@@ -194,7 +194,7 @@ TEST(Imatt, PairProbCounts) {
 
 TEST(Imatt, SingleInstructionStreamHasNoRows) {
   InstructionStream s{{2}};
-  const Imatt imatt(s, 3);
+  const Imatt imatt(count_stream(s, 3));
   EXPECT_TRUE(imatt.rows().empty());
 }
 
@@ -236,7 +236,7 @@ TEST(Rtl, MeanUsageFraction) {
 
 TEST(Ift, AverageActivityWeightsByFrequency) {
   const auto ex = benchdata::paper_example();
-  const Ift ift(ex.stream, 4);
+  const Ift ift(count_stream(ex.stream, 4));
   // sum P(I)|M(I)|/N = (.4*4 + .35*2 + .15*3 + .1*2)/6.
   EXPECT_NEAR(ift.average_activity(ex.rtl),
               (0.4 * 4 + 0.35 * 2 + 0.15 * 3 + 0.1 * 2) / 6.0, 1e-12);

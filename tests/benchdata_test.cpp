@@ -51,7 +51,8 @@ TEST(Workload, HitsTargetActivity) {
     spec.stream_length = 8000;
     spec.seed = 99;
     const Workload wl = generate_workload(spec, bench.sinks, bench.die);
-    const activity::Ift ift(wl.stream, wl.rtl.num_instructions());
+    const activity::Ift ift(
+        activity::count_stream(wl.stream, wl.rtl.num_instructions()));
     // Ave(M(I)) should track the requested activity within sampling noise.
     EXPECT_NEAR(ift.average_activity(wl.rtl), target, 0.12) << target;
   }

@@ -183,6 +183,50 @@ TEST_F(ServeTest, ExpiredRequestLeavesServiceHealthy) {
       routed_trees_identical(second.result->tree, reference_route(23).tree));
 }
 
+// --- invalid designs ------------------------------------------------------
+
+// A stream id outside the RTL's [0, K) is an input error the validator
+// names, not an internal failure -- and it leaves the lane routing.
+TEST_F(ServeTest, OutOfRangeStreamIdIsInvalidInput) {
+  {
+    std::ofstream os(dir_ / "bad.sinks");
+    os << "die 0 0 100 100\n10 10 0.01\n50 80 0.02\n90 20 0.01\n";
+  }
+  {
+    std::ofstream os(dir_ / "bad.rtl");
+    os << "rtl 2 3\n0 0 1\n1 1 2\n";
+  }
+  {
+    std::ofstream os(dir_ / "bad.stream");
+    os << "0 1 0 1 5 1 0\n";
+  }
+  io::RouteRequest bad;
+  bad.id = "bad";
+  bad.sinks = (dir_ / "bad.sinks").string();
+  bad.rtl = (dir_ / "bad.rtl").string();
+  bad.stream = (dir_ / "bad.stream").string();
+  io::RouteRequest fine = write_design(44, "d44");
+  serve::ServeOptions opts;
+  opts.workers = 1;
+  serve::BatchService service(opts);
+  service.start();
+  EXPECT_TRUE(service.submit(bad));
+  EXPECT_TRUE(service.submit(fine));
+  service.drain();
+  const std::vector<serve::RequestOutcome> outs = service.take_outcomes();
+  ASSERT_EQ(outs.size(), 2u);
+  ASSERT_EQ(outs[0].id, "bad");
+  EXPECT_EQ(outs[0].state, serve::RequestState::Invalid);
+  EXPECT_EQ(outs[0].code, guard::Code::StreamId);
+  EXPECT_EQ(outs[0].exit_code(), guard::kExitInvalidInput);
+  EXPECT_EQ(outs[0].message,
+            "error GCR_E_STREAM_ID: 1 stream entries reference instructions "
+            "outside [0, 2); first at cycle 4 (id 5)");
+  ASSERT_EQ(outs[1].state, serve::RequestState::Done) << outs[1].message;
+  EXPECT_TRUE(
+      routed_trees_identical(outs[1].result->tree, reference_route(44).tree));
+}
+
 // --- content-hash caching --------------------------------------------------
 
 TEST_F(ServeTest, CacheHitIsBitIdenticalToColdRoute) {

@@ -1,0 +1,228 @@
+#include <gtest/gtest.h>
+
+#include <climits>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "activity/analyzer.h"
+#include "activity/counts.h"
+#include "activity/ift.h"
+#include "activity/imatt.h"
+#include "core/router.h"
+#include "guard/validate.h"
+#include "verify/generator.h"
+
+/// \file stream_counts_test.cpp
+/// The IFT and IMATT are built from one count of the stream
+/// (activity/counts.h). These tests hold the counted tables to the
+/// per-cycle loops they replaced, bit for bit (EXPECT_EQ on doubles), and
+/// hold the count's out-of-range summary to a plain scan -- including the
+/// router, which validates from its analyzer's summary instead of
+/// rescanning the stream.
+
+namespace gcr::activity {
+namespace {
+
+// The sequential table loops the count pass replaced, kept as the oracle.
+
+std::vector<double> oracle_ift(const InstructionStream& stream, int k) {
+  std::vector<double> probs(static_cast<std::size_t>(k), 0.0);
+  if (stream.seq.empty()) return probs;
+  for (const InstrId i : stream.seq)
+    probs.at(static_cast<std::size_t>(i)) += 1.0;
+  const double inv = 1.0 / static_cast<double>(stream.seq.size());
+  for (double& p : probs) p *= inv;
+  return probs;
+}
+
+std::vector<double> oracle_imatt(const InstructionStream& stream, int k) {
+  std::vector<double> dense(static_cast<std::size_t>(k) * k, 0.0);
+  const int pairs = stream.length() - 1;
+  if (pairs <= 0) return dense;
+  const double inv = 1.0 / static_cast<double>(pairs);
+  for (int t = 0; t + 1 < stream.length(); ++t) {
+    const InstrId a = stream.seq[static_cast<std::size_t>(t)];
+    const InstrId b = stream.seq[static_cast<std::size_t>(t) + 1];
+    dense[static_cast<std::size_t>(a) * k + b] += inv;
+  }
+  return dense;
+}
+
+enum class Shape { Uniform, Local, Constant };
+
+/// Seeded stream over [0, k): uniform ids, a stream that repeats its
+/// previous id with probability 0.85, or one id throughout.
+InstructionStream make_stream(Shape shape, int k, int len, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> id(0, k - 1);
+  std::bernoulli_distribution stay(0.85);
+  InstructionStream s;
+  s.seq.reserve(static_cast<std::size_t>(len));
+  const int constant = id(rng);
+  for (int t = 0; t < len; ++t) {
+    switch (shape) {
+      case Shape::Uniform: s.seq.push_back(id(rng)); break;
+      case Shape::Local:
+        s.seq.push_back(t > 0 && stay(rng) ? s.seq.back() : id(rng));
+        break;
+      case Shape::Constant: s.seq.push_back(constant); break;
+    }
+  }
+  return s;
+}
+
+void expect_tables_exact(const InstructionStream& s, int k) {
+  const StreamCounts counts = count_stream(s, k);
+  EXPECT_EQ(counts.length, s.length());
+  EXPECT_EQ(counts.ids.bad, 0);
+
+  const Ift ift(counts);
+  const std::vector<double> want_ift = oracle_ift(s, k);
+  ASSERT_EQ(ift.num_instructions(), k);
+  for (InstrId i = 0; i < k; ++i) EXPECT_EQ(ift.prob(i), want_ift[i]) << i;
+
+  const Imatt imatt(counts);
+  const std::vector<double> want = oracle_imatt(s, k);
+  std::size_t nonzero = 0;
+  for (InstrId a = 0; a < k; ++a) {
+    for (InstrId b = 0; b < k; ++b) {
+      const double p = want[static_cast<std::size_t>(a) * k + b];
+      EXPECT_EQ(imatt.pair_prob(a, b), p) << a << "->" << b;
+      if (p > 0.0) ++nonzero;
+    }
+  }
+  // Rows: the observed pairs in row-major order, with the same values.
+  ASSERT_EQ(imatt.rows().size(), nonzero);
+  std::size_t r = 0;
+  for (InstrId a = 0; a < k; ++a) {
+    for (InstrId b = 0; b < k; ++b) {
+      const double p = want[static_cast<std::size_t>(a) * k + b];
+      if (p == 0.0) continue;
+      const ImattRow& row = imatt.rows()[r++];
+      EXPECT_EQ(row.cur, a);
+      EXPECT_EQ(row.nxt, b);
+      EXPECT_EQ(row.prob, p);
+    }
+  }
+}
+
+TEST(StreamCounts, TablesEqualSequentialLoopsBitForBit) {
+  std::uint64_t seed = 1;
+  const Shape shapes[] = {Shape::Uniform, Shape::Local, Shape::Constant};
+  for (const int k : {1, 2, 64, 128}) {
+    for (const int len : {0, 1, 2, 3, 17, 1000, 100000}) {
+      for (const Shape shape : shapes) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " len=" + std::to_string(len) +
+                     " shape=" + std::to_string(static_cast<int>(shape)));
+        expect_tables_exact(make_stream(shape, k, len, ++seed), k);
+      }
+    }
+  }
+}
+
+TEST(StreamCounts, CountsOneIssueAndOnePairPerCycle) {
+  const InstructionStream s{{0, 1, 0, 1, 1}};
+  const StreamCounts c = count_stream(s, 2);
+  EXPECT_EQ(c.instr, (std::vector<std::uint32_t>{2, 3}));
+  // (0,1) x2, (1,0) x1, (1,1) x1.
+  EXPECT_EQ(c.pairs, (std::vector<std::uint32_t>{0, 2, 1, 1}));
+}
+
+// ----------------------------------------------------- out-of-range ids --
+
+TEST(StreamCounts, BadIdSummaryMatchesPlainScanAndSkipsTheirPairs) {
+  std::mt19937_64 rng(2026);
+  const std::vector<InstrId> bad_values = {-1, INT_MIN, INT_MAX};
+  for (const int k : {1, 2, 64, 128}) {
+    for (const int len : {1, 2, 17, 1000, 100000}) {
+      InstructionStream s = make_stream(Shape::Local, k, len, rng());
+      std::uniform_int_distribution<int> where(0, len - 1);
+      const int n_bad = 1 + len / 500;
+      for (int j = 0; j < n_bad; ++j) {
+        const std::size_t t = static_cast<std::size_t>(where(rng));
+        s.seq[t] = j % 4 == 3 ? k + j : bad_values[j % bad_values.size()];
+      }
+      SCOPED_TRACE("k=" + std::to_string(k) + " len=" + std::to_string(len));
+
+      // Plain scan: the summary validate_design used to compute inline.
+      int bad = 0;
+      int first_cycle = 0;
+      InstrId first_id = 0;
+      std::vector<std::uint32_t> instr(static_cast<std::size_t>(k), 0);
+      std::vector<std::uint32_t> pairs(static_cast<std::size_t>(k) * k, 0);
+      const auto ok = [&](InstrId id) { return id >= 0 && id < k; };
+      for (std::size_t t = 0; t < s.seq.size(); ++t) {
+        const InstrId id = s.seq[t];
+        if (!ok(id)) {
+          if (bad++ == 0) {
+            first_cycle = static_cast<int>(t);
+            first_id = id;
+          }
+          continue;
+        }
+        ++instr[static_cast<std::size_t>(id)];
+        if (t > 0 && ok(s.seq[t - 1]))
+          ++pairs[static_cast<std::size_t>(s.seq[t - 1]) * k + id];
+      }
+
+      const StreamCounts c = count_stream(s, k);
+      EXPECT_EQ(c.ids.bad, bad);
+      EXPECT_EQ(c.ids.first_cycle, first_cycle);
+      EXPECT_EQ(c.ids.first_id, first_id);
+      EXPECT_EQ(c.instr, instr);
+      EXPECT_EQ(c.pairs, pairs);
+
+      const StreamIdSummary scanned = scan_stream_ids(s, k);
+      EXPECT_EQ(scanned.bad, bad);
+      EXPECT_EQ(scanned.first_cycle, first_cycle);
+      EXPECT_EQ(scanned.first_id, first_id);
+    }
+  }
+}
+
+TEST(StreamCounts, AnalyzerExposesTheSummaryWithoutThrowing) {
+  RtlDescription rtl(2, 3);
+  rtl.add_use(0, 0);
+  rtl.add_use(1, 2);
+  const InstructionStream s{{0, 1, 0, 1, 5, 1, 0}};
+  const ActivityAnalyzer an(rtl, s);
+  EXPECT_EQ(an.stream_ids().bad, 1);
+  EXPECT_EQ(an.stream_ids().first_cycle, 4);
+  EXPECT_EQ(an.stream_ids().first_id, 5);
+}
+
+// The router validates from its analyzer's summary; the Diag must be the
+// one lenient validate_design produces by scanning the stream itself.
+TEST(StreamCounts, RouterDiagEqualsLenientValidation) {
+  verify::DesignSpec spec;
+  spec.seed = 5;
+  spec.num_sinks = 10;
+  core::Design d = verify::generate_design(spec);
+  d.sink_module.assign(d.sinks.size(), 0);
+  d.sink_module[3] = d.rtl.num_modules() + 2;  // GCR_E_MODULE_MISMATCH
+  d.stream.seq[7] = d.rtl.num_instructions();  // GCR_E_STREAM_ID
+  d.stream.seq[9] = -4;
+  d.sinks[1].cap = 0.0;                        // a lenient-mode warning
+
+  guard::Diag want;
+  guard::ValidateOptions vopts;
+  vopts.strict = false;
+  EXPECT_FALSE(guard::validate_design(d, want, vopts));
+
+  const core::GatedClockRouter router(d);
+  const core::RouteOutcome out = router.route_guarded({});
+  EXPECT_FALSE(out.result.has_value());
+  ASSERT_EQ(out.diag.entries().size(), want.entries().size());
+  for (std::size_t i = 0; i < want.entries().size(); ++i) {
+    EXPECT_EQ(out.diag.entries()[i].severity, want.entries()[i].severity);
+    EXPECT_EQ(out.diag.entries()[i].to_string(), want.entries()[i].to_string());
+  }
+  EXPECT_TRUE(out.diag.has_code(guard::Code::ModuleMismatch));
+  EXPECT_TRUE(out.diag.has_code(guard::Code::StreamId));
+  EXPECT_EQ(out.diag.error_count(), want.error_count());
+}
+
+}  // namespace
+}  // namespace gcr::activity

@@ -145,6 +145,18 @@ void register_activity(Groups& g, bool quick) {
                         });
     }
   }
+  // trace_long's shape (K = 64, 0.85 locality): the count pass over a long
+  // stream, which `activity.ids_counted` shows happening once per build.
+  const int len = quick ? 400000 : 4000000;
+  g["activity"].add("activity/table_build/len=" + std::to_string(len), [len] {
+    auto rb = std::make_shared<benchdata::RBench>(synthetic_rbench(1024, 5));
+    auto wl =
+        std::make_shared<benchdata::Workload>(make_workload(*rb, 64, len, 5));
+    return [wl] {
+      const activity::ActivityAnalyzer an(wl->rtl, wl->stream);
+      perf::do_not_optimize(an);
+    };
+  });
 }
 
 // --- io: the parsers' text front end (guard::Lexer + io readers) -----------
