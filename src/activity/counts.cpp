@@ -1,7 +1,5 @@
 #include "activity/counts.h"
 
-#include <utility>
-
 #include "obs/metrics.h"
 
 namespace gcr::activity {
@@ -12,52 +10,24 @@ StreamCounts count_stream(const InstructionStream& stream,
   c.num_instructions = num_instructions;
   c.length = stream.length();
   const auto k = static_cast<std::size_t>(num_instructions);
-  // On a stream long against the K^2 table, pairs land in two tables, one
-  // for even and one for odd cycles. A run of one id -- most of a local
-  // stream -- then bumps a given cell only every other cycle, which halves
-  // the store-to-load chain through that cell. On a shorter stream the
-  // second table's memory costs more than the chain, so both parities share
-  // one table. Row k takes the pairs with no in-range predecessor (the first
-  // cycle, or a cycle after a bad id), so the loop has no branch for them.
-  // Issue counts come from the rows: every in-range id either starts a pair
-  // or, tallied in `tail`, ends the stream or precedes a bad id.
-  const std::size_t rows = (k + 1) * k;
-  const bool split = static_cast<std::size_t>(c.length) >= 2 * rows;
-  std::vector<std::uint32_t> tables(split ? 2 * rows : rows, 0);
-  std::vector<std::uint32_t> tail(k + 1, 0);
-  std::uint32_t* even = tables.data();
-  std::uint32_t* odd = split ? even + rows : even;
-  std::size_t prev = k;
-  const auto step = [&](std::uint32_t* table, int t) {
-    const InstrId id = stream.seq[static_cast<std::size_t>(t)];
+  c.instr.assign(k, 0);
+  c.pairs.assign(k * k, 0);
+  const InstrId* const seq = stream.seq.data();
+  std::uint32_t* const instr = c.instr.data();
+  std::uint32_t* const pairs = c.pairs.data();
+  std::size_t prev = k;  // k: no in-range predecessor (first cycle, bad id)
+  for (int t = 0; t < c.length; ++t) {
+    const InstrId id = seq[t];
     const auto cur = static_cast<std::size_t>(static_cast<unsigned>(id));
     if (cur >= k) [[unlikely]] {
       c.ids.note(t, id);
-      ++tail[prev];
       prev = k;
-      return;
+      continue;
     }
-    ++table[prev * k + cur];
+    if (prev < k) ++pairs[prev * k + cur];
+    ++instr[cur];
     prev = cur;
-  };
-  int t = 0;
-  for (; t + 1 < c.length; t += 2) {
-    step(even, t);
-    step(odd, t + 1);
   }
-  if (t < c.length) step(even, t);
-  ++tail[prev];
-
-  if (split)
-    for (std::size_t i = 0; i < k * k; ++i) even[i] += odd[i];
-  c.instr.assign(k, 0);
-  for (std::size_t a = 0; a < k; ++a) {
-    std::uint32_t n = tail[a];
-    for (std::size_t b = 0; b < k; ++b) n += even[a * k + b];
-    c.instr[a] = n;
-  }
-  tables.resize(k * k);
-  c.pairs = std::move(tables);
   if (obs::metrics_enabled())
     obs::Registry::global().counter("activity.ids_counted").inc(
         static_cast<std::uint64_t>(c.length));

@@ -258,8 +258,9 @@ int run_file_mode(const Args& a) {
 
   core::Design design{sinks->die, std::move(sinks->sinks), std::move(*rtl),
                       std::move(*stream), {}};
-  // Strict semantic validation before the router (and its analyzer, which
-  // indexes by raw ids) ever sees the design.
+  // Strict validation before the router sees the design: it rejects
+  // out-of-die, duplicate and zero-cap sinks, which the router's own
+  // lenient check only warns about.
   if (!guard::validate_design(design, diag)) return diag.exit_code();
   const core::GatedClockRouter router(std::move(design));
 

@@ -331,9 +331,9 @@ int main(int argc, char** argv) {
 
     core::Design design{sinks->die, std::move(sinks->sinks), std::move(*rtl),
                         std::move(*stream), {}};
-    // Semantic validation must run before the router is constructed: the
-    // activity analyzer indexes by raw stream/module ids, so a bad design
-    // cannot be caught after the fact.
+    // Strict validation runs before the router is constructed: it rejects
+    // out-of-die, duplicate and zero-cap sinks, which the router's own
+    // lenient check only warns about.
     {
       const obs::ScopedTimer validate_timer("validate");
       if (!guard::validate_design(design, diag)) return diag.exit_code();
