@@ -1,18 +1,15 @@
 #include "log/logger.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <unistd.h>
 
 #include "guard/status.h"
-#include "log/ring.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "par/pool.h"
@@ -21,8 +18,8 @@
 namespace gcr::log {
 
 namespace detail {
-bool g_log_on = false;
-int g_runtime_level = static_cast<int>(Level::Info);
+std::atomic<bool> g_log_on{false};
+std::atomic<int> g_runtime_level{static_cast<int>(Level::Info)};
 }  // namespace detail
 
 std::string_view level_name(Level l) {
@@ -49,7 +46,7 @@ std::string iso8601_utc_ms(std::int64_t wall_ns) {
   const int ms = static_cast<int>((wall_ns / 1000000) % 1000);
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
+  char buf[96];  // room for any int in every field: no truncation possible
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, ms);
@@ -184,8 +181,6 @@ void MemorySink::clear() {
 
 namespace {
 
-constexpr std::size_t kRingSize = 4096;
-
 std::int64_t wall_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -211,27 +206,17 @@ struct TokenBucket {
 }  // namespace
 
 struct Logger::Impl {
-  std::mutex init_mu;  ///< serializes init/shutdown
+  /// Guards everything below. A leaf lock: nothing called under it logs,
+  /// and the only lock taken under it is a sink's own (MemorySink's
+  /// buffer, stdio's FILE lock). Code that logs under its own lock (the
+  /// serve::BatchService) therefore orders service -> logger.
+  mutable std::mutex mu;
   bool running{false};
+  std::uint64_t session{0};  ///< bumped by every init
   Options opts;
   std::string run_id;
   std::chrono::steady_clock::time_point t0;
-
-  BoundedMpscRing<Record, kRingSize> ring;
-  std::atomic<std::uint64_t> dropped{0};
-
   std::vector<std::unique_ptr<Sink>> sinks;
-  StderrSink* stderr_sink{nullptr};  ///< owned by sinks when present
-
-  std::thread drain;
-  std::mutex drain_mu;
-  std::condition_variable drain_cv;   ///< wakes the drain thread
-  std::condition_variable flush_cv;   ///< wakes flush() waiters
-  bool stop{false};
-  std::uint64_t enqueued{0};  ///< successful pushes (approximate order)
-  std::uint64_t written{0};   ///< records delivered to sinks
-
-  mutable std::mutex rate_mu;
   std::map<std::string, TokenBucket, std::less<>> buckets;
 
   double now_ms() const {
@@ -243,26 +228,6 @@ struct Logger::Impl {
   void deliver(const Record& r) {
     const std::string line = render_event_json(r, run_id);
     for (const std::unique_ptr<Sink>& s : sinks) s->write(r, line);
-  }
-
-  void drain_loop() {
-    Record r;
-    for (;;) {
-      bool any = false;
-      while (ring.pop(r)) {
-        any = true;
-        deliver(r);
-        {
-          const std::lock_guard<std::mutex> lk(drain_mu);
-          ++written;
-        }
-        flush_cv.notify_all();
-      }
-      std::unique_lock<std::mutex> lk(drain_mu);
-      if (stop && written >= enqueued) return;
-      if (!any)
-        drain_cv.wait_for(lk, std::chrono::milliseconds(5));
-    }
   }
 };
 
@@ -276,28 +241,17 @@ Logger& Logger::instance() {
 
 bool Logger::init(Options opts) {
   Impl& im = *impl_;
-  const std::lock_guard<std::mutex> lk(im.init_mu);
+  const std::lock_guard<std::mutex> lk(im.mu);
   if (im.running) return true;
   im.opts = std::move(opts);
   im.run_id = im.opts.run_id.empty() ? derive_run_id() : im.opts.run_id;
   im.t0 = std::chrono::steady_clock::now();
-  im.sinks.clear();
-  im.stderr_sink = nullptr;
-  im.dropped.store(0, std::memory_order_relaxed);
-  im.stop = false;
-  im.enqueued = 0;
-  im.written = 0;
-  {
-    const std::lock_guard<std::mutex> rlk(im.rate_mu);
-    im.buckets.clear();
-  }
+  ++im.session;
+  im.buckets.clear();
 
   bool ok = true;
-  if (im.opts.stderr_level != Level::Off) {
-    auto s = std::make_unique<StderrSink>(im.opts.stderr_level);
-    im.stderr_sink = s.get();
-    im.sinks.push_back(std::move(s));
-  }
+  if (im.opts.stderr_level != Level::Off)
+    im.sinks.push_back(std::make_unique<StderrSink>(im.opts.stderr_level));
   if (!im.opts.json_path.empty()) {
     auto f = std::make_unique<FileSink>();
     if (f->open(im.opts.json_path)) {
@@ -308,183 +262,137 @@ bool Logger::init(Options opts) {
   }
   if (im.opts.extra_sink) im.sinks.push_back(std::move(im.opts.extra_sink));
 
-  im.drain = std::thread([this] { impl_->drain_loop(); });
-  detail::g_runtime_level = static_cast<int>(im.opts.level);
-  detail::g_log_on = true;
+  detail::g_runtime_level.store(static_cast<int>(im.opts.level),
+                                std::memory_order_relaxed);
+  detail::g_log_on.store(true, std::memory_order_relaxed);
   im.running = true;
   return ok;
 }
 
 void Logger::shutdown() {
   Impl& im = *impl_;
-  const std::lock_guard<std::mutex> lk(im.init_mu);
+  const std::uint32_t tid = prof::thread_ordinal();  // before the leaf lock
+  const std::lock_guard<std::mutex> lk(im.mu);
   if (!im.running) return;
-  detail::g_log_on = false;
+  detail::g_log_on.store(false, std::memory_order_relaxed);
 
   // Final per-name suppression summary: everything the token buckets ate
-  // that no later admitted record carried, plus ring-full drops.
-  {
-    const std::lock_guard<std::mutex> rlk(im.rate_mu);
-    for (auto& [name, b] : im.buckets) {
-      if (b.suppressed == 0) continue;
-      Record r;
-      r.level = Level::Warn;
-      r.name = "log.suppressed";
-      r.tid = prof::thread_ordinal();
-      r.t_ms = im.now_ms();
-      r.wall_ns = wall_now_ns();
-      r.data = "\"event\":" + obs::json::quote(name) +
-               ",\"count\":" + std::to_string(b.suppressed);
-      b.suppressed = 0;
-      if (im.ring.push(std::move(r))) {
-        const std::lock_guard<std::mutex> dlk(im.drain_mu);
-        ++im.enqueued;
-      }
-    }
-  }
-  const std::uint64_t drops = im.dropped.load(std::memory_order_relaxed);
-  if (drops > 0) {
+  // that no later admitted record carried.
+  for (auto& [name, b] : im.buckets) {
+    if (b.suppressed == 0) continue;
     Record r;
     r.level = Level::Warn;
-    r.name = "log.dropped";
-    r.tid = prof::thread_ordinal();
+    r.name = "log.suppressed";
+    r.tid = tid;
     r.t_ms = im.now_ms();
     r.wall_ns = wall_now_ns();
-    r.data = "\"count\":" + std::to_string(drops);
-    if (im.ring.push(std::move(r))) {
-      const std::lock_guard<std::mutex> dlk(im.drain_mu);
-      ++im.enqueued;
-    }
+    r.data = "\"event\":" + obs::json::quote(name) +
+             ",\"count\":" + std::to_string(b.suppressed);
+    b.suppressed = 0;
+    im.deliver(r);
   }
-
-  {
-    const std::lock_guard<std::mutex> dlk(im.drain_mu);
-    im.stop = true;
-  }
-  im.drain_cv.notify_all();
-  if (im.drain.joinable()) im.drain.join();
   for (const std::unique_ptr<Sink>& s : im.sinks) s->flush();
   im.sinks.clear();
-  im.stderr_sink = nullptr;
   im.running = false;
 }
 
 bool Logger::running() const {
-  const std::lock_guard<std::mutex> lk(impl_->init_mu);
+  const std::lock_guard<std::mutex> lk(impl_->mu);
   return impl_->running;
 }
 
 void Logger::flush() {
-  Impl& im = *impl_;
-  const std::lock_guard<std::mutex> init_lk(im.init_mu);
-  if (!im.running) return;
-  {
-    std::unique_lock<std::mutex> lk(im.drain_mu);
-    const std::uint64_t target = im.enqueued;
-    im.drain_cv.notify_all();
-    im.flush_cv.wait(lk, [&] { return im.written >= target; });
-  }
-  for (const std::unique_ptr<Sink>& s : im.sinks) s->flush();
+  const std::lock_guard<std::mutex> lk(impl_->mu);
+  for (const std::unique_ptr<Sink>& s : impl_->sinks) s->flush();
 }
 
 double Logger::now_ms() const { return impl_->now_ms(); }
 
 void Logger::set_level(Level l) {
-  detail::g_runtime_level = static_cast<int>(l);
+  detail::g_runtime_level.store(static_cast<int>(l),
+                                std::memory_order_relaxed);
 }
 
 Level Logger::runtime_level() const {
-  return static_cast<Level>(detail::g_runtime_level);
+  return static_cast<Level>(
+      detail::g_runtime_level.load(std::memory_order_relaxed));
 }
 
 const std::string& Logger::run_id() const { return impl_->run_id; }
 
-bool Logger::admit(const std::string& name, std::uint64_t& carry) {
+bool Logger::admit(Record& r) {
   Impl& im = *impl_;
-  carry = 0;
-  if (im.opts.rate_per_sec <= 0.0) return true;
-  const std::int64_t now =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  const std::lock_guard<std::mutex> lk(im.rate_mu);
-  auto it = im.buckets.find(name);
-  if (it == im.buckets.end()) {
-    it = im.buckets.emplace(name, TokenBucket{}).first;
-    it->second.tokens = im.opts.rate_burst;
-    it->second.last_ns = now;
-  }
-  TokenBucket& b = it->second;
-  const double dt_s = static_cast<double>(now - b.last_ns) * 1e-9;
-  if (dt_s > 0.0) {
-    b.tokens = std::min(im.opts.rate_burst,
-                        b.tokens + dt_s * im.opts.rate_per_sec);
-    b.last_ns = now;
-  }
-  if (b.tokens < 1.0) {
+  {
+    const std::lock_guard<std::mutex> lk(im.mu);
+    if (!im.running) return false;
+    r.session = im.session;
+    r.t_ms = im.now_ms();
+    if (im.opts.rate_per_sec <= 0.0) return true;
+    const std::int64_t now =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    auto it = im.buckets.find(r.name);
+    if (it == im.buckets.end()) {
+      it = im.buckets.emplace(r.name, TokenBucket{}).first;
+      it->second.tokens = im.opts.rate_burst;
+      it->second.last_ns = now;
+    }
+    TokenBucket& b = it->second;
+    const double dt_s = static_cast<double>(now - b.last_ns) * 1e-9;
+    if (dt_s > 0.0) {
+      b.tokens = std::min(im.opts.rate_burst,
+                          b.tokens + dt_s * im.opts.rate_per_sec);
+      b.last_ns = now;
+    }
+    if (b.tokens >= 1.0) {
+      b.tokens -= 1.0;
+      ++b.admitted;
+      r.suppressed = b.suppressed;
+      b.suppressed = 0;
+      return true;
+    }
     ++b.suppressed;
     ++b.suppressed_total;
-    if (obs::metrics_enabled()) [[unlikely]] {
-      static obs::Counter& c =
-          obs::Registry::global().counter("log.suppressed");
-      c.inc();
-    }
-    return false;
   }
-  b.tokens -= 1.0;
-  ++b.admitted;
-  carry = b.suppressed;
-  b.suppressed = 0;
-  return true;
+  if (obs::metrics_enabled()) [[unlikely]] {
+    static obs::Counter& c = obs::Registry::global().counter("log.suppressed");
+    c.inc();
+  }
+  return false;
 }
 
-void Logger::enqueue(Record&& r) {
+void Logger::write(const Record& r) {
   Impl& im = *impl_;
-  if (im.ring.push(std::move(r))) {
-    const std::lock_guard<std::mutex> lk(im.drain_mu);
-    ++im.enqueued;
-  } else {
-    im.dropped.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) [[unlikely]] {
-      static obs::Counter& c = obs::Registry::global().counter("log.dropped");
-      c.inc();
-    }
-  }
+  const std::lock_guard<std::mutex> lk(im.mu);
+  if (!im.running || (r.session != 0 && r.session != im.session)) return;
+  im.deliver(r);
 }
 
 RateStats Logger::rate_stats(const std::string& name) const {
   Impl& im = *impl_;
-  const std::lock_guard<std::mutex> lk(im.rate_mu);
+  const std::lock_guard<std::mutex> lk(im.mu);
   const auto it = im.buckets.find(name);
   if (it == im.buckets.end()) return {};
   return {it->second.admitted, it->second.suppressed_total};
-}
-
-std::uint64_t Logger::dropped() const {
-  return impl_->dropped.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
 // EventBuilder.
 
 EventBuilder::EventBuilder(Level level, std::string_view name) {
-  Logger& lg = Logger::instance();
-  std::uint64_t carry = 0;
   rec_.name.assign(name);
-  if (!lg.admit(rec_.name, carry)) return;
+  if (!Logger::instance().admit(rec_)) return;
   admitted_ = true;
   rec_.level = level;
-  rec_.suppressed = carry;
   rec_.tid = prof::thread_ordinal();
   rec_.worker = par::worker_ordinal();
-  rec_.t_ms = lg.now_ms();
   rec_.wall_ns = wall_now_ns();
   rec_.phase = prof::current_phase_path();
 }
 
 EventBuilder::~EventBuilder() {
-  if (!admitted_) return;
-  Logger::instance().enqueue(std::move(rec_));
+  if (admitted_) Logger::instance().write(rec_);
 }
 
 void EventBuilder::append_key(std::string_view key) {
@@ -569,6 +477,32 @@ void remove_guard_bridge() {
   guard::set_diag_hook(g_prev_hook);
   g_prev_hook = nullptr;
   g_bridge_installed = false;
+}
+
+// ---------------------------------------------------------------------------
+// CLI bring-up.
+
+CliLogger::CliLogger(const Flags& flags, Level floor) {
+  Options lopts;
+  lopts.level = floor;
+  std::string level = flags.level;
+  if (level.empty())
+    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
+  if (const auto l = parse_level(level)) lopts.level = *l;
+  if (flags.verbose &&
+      static_cast<int>(lopts.level) > static_cast<int>(Level::Debug))
+    lopts.level = Level::Debug;
+  lopts.stderr_level = flags.verbose ? Level::Debug : Level::Warn;
+  lopts.json_path = flags.json_path;
+  if (lopts.json_path.empty())
+    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
+  ok_ = Logger::instance().init(std::move(lopts));
+  install_guard_bridge();
+}
+
+CliLogger::~CliLogger() {
+  remove_guard_bridge();
+  Logger::instance().shutdown();
 }
 
 }  // namespace gcr::log

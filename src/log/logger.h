@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -21,14 +22,15 @@
 ///       .kv("sinks", n).kv("swcap_pf", w);
 ///
 /// The macro checks `enabled(level)` before the builder exists, so a
-/// disabled logger costs one plain bool load and allocates nothing; levels
-/// below GCR_LOG_COMPILE_MIN_LEVEL compile to no code at all (the trace
-/// level's compile-out switch). Admitted records are pushed onto a
-/// lock-free MPSC ring and rendered on a drain thread, so formatting and
-/// sink I/O never run on the instrumented thread. Per-event-name token
-/// buckets rate-limit floods; suppressed emissions are counted and the
-/// count rides on the next admitted record of that name (and a final
-/// `log.suppressed` summary at shutdown), so nothing disappears silently.
+/// disabled logger costs one relaxed atomic load and allocates nothing;
+/// levels below GCR_LOG_COMPILE_MIN_LEVEL compile to no code at all (the
+/// trace level's compile-out switch). An admitted record is rendered and
+/// written to every sink on the emitting thread, under the logger's one
+/// mutex, so it is in the sinks when its statement returns and nothing is
+/// ever dropped. Per-event-name token buckets rate-limit floods;
+/// suppressed emissions are counted and the count rides on the next
+/// admitted record of that name (and a final `log.suppressed` summary at
+/// shutdown), so nothing disappears silently.
 
 namespace gcr::guard {
 struct Status;
@@ -57,18 +59,20 @@ enum class Level : int { Trace = 0, Debug, Info, Warn, Error, Off };
 }
 
 namespace detail {
-extern bool g_log_on;  ///< plain-bool fast gate, set only by init/shutdown
-extern int g_runtime_level;
+extern std::atomic<bool> g_log_on;  ///< fast gate, set only by init/shutdown
+extern std::atomic<int> g_runtime_level;
 }  // namespace detail
 
-/// The one check every call site pays when the logger is off: a plain
+/// The one check every call site pays when the logger is off: a relaxed
 /// bool load, then the runtime level compare only when it was on.
 [[nodiscard]] inline bool enabled(Level l) {
-  return detail::g_log_on && static_cast<int>(l) >= detail::g_runtime_level;
+  return detail::g_log_on.load(std::memory_order_relaxed) &&
+         static_cast<int>(l) >=
+             detail::g_runtime_level.load(std::memory_order_relaxed);
 }
 
-/// One enqueued event, timestamps and context captured at the call site,
-/// payload pre-rendered (the drain thread only assembles the line).
+/// One event, timestamps and context captured at the call site, payload
+/// pre-rendered (writing it only assembles the line).
 struct Record {
   enum class Kind : std::uint8_t { Event, Snapshot };
   Kind kind{Kind::Event};
@@ -82,6 +86,7 @@ struct Record {
   std::string data;         ///< rendered `"k":v,...` payload (no braces);
                             ///< for Kind::Snapshot the complete JSON line
   std::uint64_t suppressed{0};  ///< drops this record amortizes
+  std::uint64_t session{0};  ///< logger session that admitted it; 0 = any
 };
 
 /// Render a Record as one `gcr.event` v1 JSON line (no trailing newline).
@@ -93,7 +98,8 @@ struct Record {
 /// ISO-8601 UTC with millisecond precision ("2026-08-09T12:34:56.789Z").
 [[nodiscard]] std::string iso8601_utc_ms(std::int64_t wall_ns);
 
-/// A drain-side consumer. write() runs on the drain thread only.
+/// A record consumer. write() runs on the emitting thread, under the
+/// logger's mutex, so a sink sees one record at a time.
 class Sink {
  public:
   virtual ~Sink() = default;
@@ -108,7 +114,6 @@ class StderrSink final : public Sink {
   explicit StderrSink(Level min_level) : min_level_(min_level) {}
   void write(const Record& r, const std::string& json_line) override;
   void flush() override;
-  void set_min_level(Level l) { min_level_ = l; }
 
  private:
   Level min_level_;
@@ -165,21 +170,20 @@ class Logger {
  public:
   static Logger& instance();
 
-  /// Install sinks, start the drain thread and open the gate. Idempotent
-  /// while running (a second init is ignored); re-init after shutdown()
-  /// is supported (tests). Returns false when `json_path` was set but
-  /// could not be opened (the logger still starts with the remaining
-  /// sinks).
+  /// Install sinks and open the gate. Idempotent while running (a second
+  /// init is ignored); re-init after shutdown() is supported (tests).
+  /// Returns false when `json_path` was set but could not be opened (the
+  /// logger still starts with the remaining sinks).
   bool init(Options opts);
 
-  /// Drain everything, emit the per-name suppression summary, join the
-  /// drain thread and close the gate. Safe to call when never inited.
+  /// Close the gate, write the per-name suppression summary, flush and
+  /// drop the sinks. A record that arrives afterwards is discarded. Safe
+  /// to call when never inited.
   void shutdown();
 
   [[nodiscard]] bool running() const;
 
-  /// Block until every record enqueued before the call has reached the
-  /// sinks (and fflush them). No-op when not running.
+  /// fflush every sink. No-op when not running.
   void flush();
 
   void set_level(Level l);
@@ -188,17 +192,18 @@ class Logger {
   /// Monotonic milliseconds since init (the event t_ms epoch).
   [[nodiscard]] double now_ms() const;
 
-  /// Admission check + suppressed-count handoff for `name`. True when the
-  /// event may be emitted; `carry` receives the number of previously
-  /// suppressed emissions this record should account for.
-  bool admit(const std::string& name, std::uint64_t& carry);
+  /// Admission check for `r.name`. True when the logger is running and the
+  /// event may be emitted; then `r.session` and `r.t_ms` are stamped and
+  /// `r.suppressed` receives the number of previously suppressed
+  /// emissions this record accounts for.
+  bool admit(Record& r);
 
-  /// Enqueue an already-built record (EventBuilder and the telemetry
-  /// emitter). Drops (with accounting) when the ring is full.
-  void enqueue(Record&& r);
+  /// Render `r` and write it to every sink on the calling thread
+  /// (EventBuilder and the telemetry emitter). Discarded when the logger
+  /// is stopped or `r.session` names an earlier session.
+  void write(const Record& r);
 
   [[nodiscard]] RateStats rate_stats(const std::string& name) const;
-  [[nodiscard]] std::uint64_t dropped() const;  ///< ring-full drops
 
  private:
   Logger();
@@ -207,7 +212,7 @@ class Logger {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Builds one event record inline at the call site; enqueues on
+/// Builds one event record inline at the call site; writes it on
 /// destruction. Construct only via the GCR_LOG_EVENT macro (which has
 /// already checked enabled()); a rate-limited builder turns inert.
 class EventBuilder {
@@ -251,6 +256,31 @@ class EventBuilder {
 void install_guard_bridge();
 /// Restore the previous hook (e.g. around intentional fault sweeps).
 void remove_guard_bridge();
+
+/// The CLIs' logger bring-up, held for the whole of main(). Flag values
+/// win over the GCR_LOG / GCR_LOG_LEVEL environment; `verbose` lowers the
+/// runtime floor and the human stderr floor to debug; `floor` is the
+/// runtime floor when neither flag nor environment names one. Installs the
+/// guard bridge; the destructor removes it and shuts the logger down.
+class CliLogger {
+ public:
+  struct Flags {
+    std::string json_path;  ///< --log-json ("" = GCR_LOG or none)
+    std::string level;      ///< --log-level ("" = GCR_LOG_LEVEL or floor)
+    bool verbose{false};    ///< --verbose / --debug
+  };
+
+  explicit CliLogger(const Flags& flags, Level floor = Level::Info);
+  ~CliLogger();
+  CliLogger(const CliLogger&) = delete;
+  CliLogger& operator=(const CliLogger&) = delete;
+
+  /// False when the JSONL path could not be opened.
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  bool ok_;
+};
 
 }  // namespace gcr::log
 

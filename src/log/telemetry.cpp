@@ -68,7 +68,7 @@ struct TelemetryEmitter::Impl {
   std::map<std::string, HistoPrev> prev_histograms;
   PoolPrev prev_pool;
 
-  /// Render and enqueue one snapshot line through the logger's ring.
+  /// Render one snapshot line and write it through the logger.
   void emit() {
     Logger& lg = Logger::instance();
     std::string out;
@@ -164,7 +164,7 @@ struct TelemetryEmitter::Impl {
     r.name = "gcr.snapshot";
     r.t_ms = lg.now_ms();
     r.data = std::move(out);
-    lg.enqueue(std::move(r));
+    lg.write(r);
   }
 
   void loop() {

@@ -14,7 +14,7 @@
 ///   * pool busy/idle/chunk deltas and the cumulative job count,
 ///   * current RSS from /proc/self/statm,
 ///
-/// as one JSONL line through the logger's ring, turning the metrics
+/// as one JSONL line through the logger's sinks, turning the metrics
 /// registry into the time-series a gcr_serve dashboard or an activity
 /// drift detector consumes. A final snapshot is emitted at stop() so the
 /// tail of a run is never lost to tick phase.
@@ -34,8 +34,8 @@ class TelemetryEmitter {
   TelemetryEmitter(const TelemetryEmitter&) = delete;
   TelemetryEmitter& operator=(const TelemetryEmitter&) = delete;
 
-  /// Launch the tick thread. Requires a running Logger (snapshots travel
-  /// its ring); no-op when already running.
+  /// Launch the tick thread. Requires a running Logger (snapshots go to
+  /// its sinks); no-op when already running.
   void start(const Options& opts);
 
   /// Emit one final snapshot, join the tick thread. No-op when not

@@ -185,7 +185,7 @@ TEST(HwCounters, EnvKnobForcesRusageFallback) {
   {
     obs::ScopedTimer phase("hw_fallback_phase");
     volatile double sink = 0.0;
-    for (int i = 0; i < 2000000; ++i) sink += 1.0 / (1.0 + i);
+    for (int i = 0; i < 2000000; ++i) sink = sink + 1.0 / (1.0 + i);
     (void)sink;
   }
   const obs::PhaseStats& root = session.timers().root();
@@ -221,7 +221,7 @@ TEST(Sampler, CreditsSelfToInnermostAndTotalToStack) {
     // loop yields several samples.
     volatile double sink = 0.0;
     for (int spin = 0; spin < 4000; ++spin)
-      for (int i = 0; i < 20000; ++i) sink += 1.0 / (1.0 + i);
+      for (int i = 0; i < 20000; ++i) sink = sink + 1.0 / (1.0 + i);
     (void)sink;
     p = sampler.stop();
   }
@@ -385,7 +385,7 @@ TEST(ProfileReport, RoundTripsThroughTheValidator) {
   {
     obs::ScopedTimer phase("report_phase");
     volatile double sink = 0.0;
-    for (int i = 0; i < 4000000; ++i) sink += 1.0 / (1.0 + i);
+    for (int i = 0; i < 4000000; ++i) sink = sink + 1.0 / (1.0 + i);
     (void)sink;
   }
   const prof::Sampler::Profile p = sampler.stop();

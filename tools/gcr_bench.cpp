@@ -622,31 +622,14 @@ void usage() {
                "exit codes: 0 ok, 1 usage/empty filter, 2 i/o error\n";
 }
 
-/// The bench driver runs the logger at a Warn floor by default: the
-/// route benchmarks fire route.start/route.done per repetition, and
-/// admitting them would put event construction inside the timed section.
-/// GCR_LOG_LEVEL / GCR_LOG still opt a debugging run in.
-struct LogScope {
-  LogScope() {
-    gcr::log::Options lopts;
-    lopts.level = gcr::log::Level::Warn;
-    if (const char* env = std::getenv("GCR_LOG_LEVEL"))
-      if (const auto l = gcr::log::parse_level(env)) lopts.level = *l;
-    lopts.stderr_level = gcr::log::Level::Warn;
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-    (void)gcr::log::Logger::instance().init(std::move(lopts));
-    gcr::log::install_guard_bridge();
-  }
-  ~LogScope() {
-    gcr::log::remove_guard_bridge();
-    gcr::log::Logger::instance().shutdown();
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  LogScope log_scope;
+  // A Warn floor by default: the route benchmarks fire route.start /
+  // route.done per repetition, and admitting them would put event
+  // construction inside the timed section. GCR_LOG_LEVEL / GCR_LOG still
+  // opt a debugging run in.
+  const log::CliLogger logger({}, log::Level::Warn);
   perf::RunnerOptions opts = perf::RunnerOptions::from_env();
   std::string out_dir = ".";
   bool list = false;

@@ -35,25 +35,6 @@ using namespace gcr;
 
 namespace {
 
-/// Same default posture as gcr_bench: Warn floor, env opt-in via
-/// GCR_LOG / GCR_LOG_LEVEL; diagnostics travel the guard bridge + logger.
-struct LogScope {
-  LogScope() {
-    gcr::log::Options lopts;
-    lopts.level = gcr::log::Level::Warn;
-    if (const char* env = std::getenv("GCR_LOG_LEVEL"))
-      if (const auto l = gcr::log::parse_level(env)) lopts.level = *l;
-    lopts.stderr_level = gcr::log::Level::Warn;
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-    (void)gcr::log::Logger::instance().init(std::move(lopts));
-    gcr::log::install_guard_bridge();
-  }
-  ~LogScope() {
-    gcr::log::remove_guard_bridge();
-    gcr::log::Logger::instance().shutdown();
-  }
-};
-
 std::optional<std::string> read_file(const fs::path& p) {
   std::ifstream is(p, std::ios::binary);
   if (!is) return std::nullopt;
@@ -163,7 +144,8 @@ std::optional<perf::LoadedReport> load(const fs::path& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  LogScope log_scope;
+  // Same posture as gcr_bench: Warn floor, GCR_LOG / GCR_LOG_LEVEL opt in.
+  const log::CliLogger logger({}, log::Level::Warn);
   std::vector<std::string> positional;
   perf::DiffOptions opts;
   bool report_only = false;

@@ -171,39 +171,6 @@ std::optional<Args> parse(int argc, char** argv) {
   return a;
 }
 
-/// CLI logger bring-up (same contract as gcr_route): flags override the
-/// GCR_LOG / GCR_LOG_LEVEL environment; `debug` lowers both the runtime
-/// floor and the human stderr floor so per-design verify.* events show.
-bool init_cli_logger(const std::string& log_json, const std::string& log_level,
-                     bool debug) {
-  gcr::log::Options lopts;
-  std::string level = log_level;
-  if (level.empty())
-    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
-  if (!level.empty()) {
-    if (const auto l = gcr::log::parse_level(level)) lopts.level = *l;
-  }
-  if (debug && static_cast<int>(lopts.level) >
-                   static_cast<int>(gcr::log::Level::Debug))
-    lopts.level = gcr::log::Level::Debug;
-  lopts.stderr_level =
-      debug ? gcr::log::Level::Debug : gcr::log::Level::Warn;
-  lopts.json_path = log_json;
-  if (lopts.json_path.empty())
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-  const bool ok = gcr::log::Logger::instance().init(std::move(lopts));
-  gcr::log::install_guard_bridge();
-  return ok;
-}
-
-/// Drains and closes the logger on every exit path out of main.
-struct LogScope {
-  ~LogScope() {
-    gcr::log::remove_guard_bridge();
-    gcr::log::Logger::instance().shutdown();
-  }
-};
-
 int report_diff(const verify::DiffStats& stats, bool replayed) {
   std::cout << "designs " << stats.designs << ", routes " << stats.routes
             << ", activity cross-checks " << stats.activity_checks
@@ -525,8 +492,8 @@ int main(int argc, char** argv) {
   // Replay is an interactive diagnosis loop: per-design debug events are
   // the whole point, so it gets the verbose floor automatically.
   const bool debug_floor = a.verbose || !a.replay.empty();
-  LogScope log_scope;
-  if (!init_cli_logger(a.log_json, a.log_level, debug_floor)) {
+  const log::CliLogger logger({a.log_json, a.log_level, debug_floor});
+  if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
   try {

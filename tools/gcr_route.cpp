@@ -199,42 +199,6 @@ std::optional<Args> parse(int argc, char** argv) {
   return a;
 }
 
-/// CLI logger bring-up: flags override the GCR_LOG / GCR_LOG_LEVEL
-/// environment; --verbose lowers both the runtime floor and the human
-/// stderr floor to debug. Returns false when the JSONL path could not be
-/// opened (the logger still runs with the remaining sinks).
-bool init_cli_logger(const std::string& log_json, const std::string& log_level,
-                     bool verbose) {
-  gcr::log::Options lopts;
-  std::string level = log_level;
-  if (level.empty())
-    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
-  if (!level.empty()) {
-    if (const auto l = gcr::log::parse_level(level)) lopts.level = *l;
-  }
-  if (verbose && static_cast<int>(lopts.level) >
-                     static_cast<int>(gcr::log::Level::Debug))
-    lopts.level = gcr::log::Level::Debug;
-  lopts.stderr_level =
-      verbose ? gcr::log::Level::Debug : gcr::log::Level::Warn;
-  lopts.json_path = log_json;
-  if (lopts.json_path.empty())
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-  const bool ok = gcr::log::Logger::instance().init(std::move(lopts));
-  gcr::log::install_guard_bridge();
-  return ok;
-}
-
-/// Drains and closes the logger on every exit path out of main.
-struct LogScope {
-  gcr::log::TelemetryEmitter telemetry;
-  ~LogScope() {
-    if (telemetry.running()) (void)telemetry.stop();
-    gcr::log::remove_guard_bridge();
-    gcr::log::Logger::instance().shutdown();
-  }
-};
-
 int write_demo(const std::string& dir) {
   benchdata::RBenchSpec spec{"demo", 64, 10000.0, 0.005, 0.06, 11};
   const benchdata::RBench rb = benchdata::generate_rbench(spec);
@@ -273,10 +237,11 @@ int main(int argc, char** argv) {
     return guard::kExitUsage;
   }
 
-  LogScope log_scope;
-  if (!init_cli_logger(a.log_json, a.log_level, a.verbose)) {
+  const log::CliLogger logger({a.log_json, a.log_level, a.verbose});
+  if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
+  log::TelemetryEmitter telemetry;  // declared after the logger: stops first
 
   try {
     // Observability: bind a session before the inputs are read so the
@@ -373,7 +338,7 @@ int main(int argc, char** argv) {
             ? guard::Deadline::after_ms(static_cast<double>(a.deadline_ms))
             : guard::Deadline();
     if (a.telemetry_interval_ms > 0)
-      log_scope.telemetry.start({a.telemetry_interval_ms});
+      telemetry.start({a.telemetry_interval_ms});
     core::RouteOutcome out = router.route_guarded(opts, deadline);
     if (!out.ok()) {
       if (!a.profile.empty()) {

@@ -150,33 +150,6 @@ std::optional<Args> parse(int argc, char** argv) {
   return a;
 }
 
-bool init_cli_logger(const std::string& log_json, const std::string& log_level,
-                     bool verbose) {
-  log::Options lopts;
-  std::string level = log_level;
-  if (level.empty())
-    if (const char* env = std::getenv("GCR_LOG_LEVEL")) level = env;
-  if (!level.empty())
-    if (const auto l = log::parse_level(level)) lopts.level = *l;
-  if (verbose &&
-      static_cast<int>(lopts.level) > static_cast<int>(log::Level::Debug))
-    lopts.level = log::Level::Debug;
-  lopts.stderr_level = verbose ? log::Level::Debug : log::Level::Warn;
-  lopts.json_path = log_json;
-  if (lopts.json_path.empty())
-    if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
-  const bool ok = log::Logger::instance().init(std::move(lopts));
-  log::install_guard_bridge();
-  return ok;
-}
-
-struct LogScope {
-  ~LogScope() {
-    log::remove_guard_bridge();
-    log::Logger::instance().shutdown();
-  }
-};
-
 struct DisarmOnExit {
   ~DisarmOnExit() { guard::FaultInjector::global().disarm(); }
 };
@@ -212,8 +185,8 @@ int main(int argc, char** argv) {
     return guard::kExitUsage;
   }
 
-  LogScope log_scope;
-  if (!init_cli_logger(a.log_json, a.log_level, a.verbose)) {
+  const log::CliLogger logger({a.log_json, a.log_level, a.verbose});
+  if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
 
