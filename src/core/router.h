@@ -67,11 +67,11 @@ struct RouterOptions {
   /// the snake wirelength exact balancing would pay. Ignores gate_sizing.
   double skew_bound{0.0};
   int controller_partitions{1};  ///< perfect square; 1 = centralized CP
-  /// Worker threads for the clustered builder's per-cell fan-out
-  /// (gcr::par); the flat greedy and the ECO spine re-merge are serial. 0
-  /// resolves to the GCR_THREADS environment default (else the hardware
-  /// thread count); 1 runs serially. Results are bit-identical at every
-  /// setting -- see docs/parallelism.md.
+  /// Threads for the clustered builder's per-cell fan-out
+  /// (cts/clustered.h); the flat greedy and the ECO spine re-merge are
+  /// serial. 0 resolves to the GCR_THREADS environment default (else the
+  /// hardware thread count); 1 runs serially. Results are bit-identical at
+  /// every setting -- see docs/parallelism.md.
   int num_threads{0};
   /// Serve the greedy's best-partner queries from the maintained dynamic
   /// bucket index (cts::BuildOptions::partner_index): near-linear topology

@@ -1,17 +1,93 @@
 #include "cts/clustered.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
+#include <exception>
 #include <optional>
+#include <thread>
 
+#include "guard/deadline.h"
 #include "obs/metrics.h"
+#include "obs/session.h"
 #include "obs/timer.h"
-#include "par/pool.h"
 
 namespace gcr::cts {
 
 namespace {
+
+int hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// BuildOptions::num_threads as a width: > 0 passes through; 0 reads
+/// GCR_THREADS (clamped to [1, 256]) once per process, else the hardware
+/// thread count.
+int resolve_width(int requested) {
+  if (requested > 0) return requested;
+  static const int env_default = [] {
+    if (const char* env = std::getenv("GCR_THREADS")) {
+      char* end = nullptr;
+      const long v = std::strtol(env, &end, 10);
+      if (end != env) return static_cast<int>(std::clamp(v, 1L, 256L));
+    }
+    return hardware_threads();
+  }();
+  return env_default;
+}
+
+/// Run body(ci) for every cell ci in [0, num_cells) on `lanes` threads.
+/// The caller is lane 0; lane l builds cell l first, then claims the
+/// lowest unclaimed cell until none is left (cell costs vary, so a fixed
+/// l, l + lanes, ... split leaves lanes idle). Spawned lanes bind a worker
+/// view of the caller's obs session. A lane stops at its first throw;
+/// cells are claimed in increasing order, so every cell below the lowest
+/// failing one still runs, and that cell's exception -- the one a serial
+/// loop would have hit first -- is rethrown after all lanes have joined.
+template <typename Body>
+void for_each_cell(int lanes, int num_cells, const Body& body) {
+  struct Failure {
+    int cell{-1};
+    std::exception_ptr error;
+  };
+  std::vector<Failure> failures(static_cast<std::size_t>(lanes));
+  std::atomic<int> next_cell{lanes};
+  // `view_of`: the session a spawned lane views; nullptr keeps the
+  // thread's own binding (the caller's lanes).
+  const auto run_lane = [&](int lane, obs::Session* view_of) {
+    int ci = lane;
+    try {
+      std::optional<obs::Session> view;
+      std::optional<obs::Bind> bind;
+      if (view_of != nullptr) {
+        view.emplace(obs::Session::WorkerViewTag{}, *view_of);
+        bind.emplace(&*view);
+      }
+      for (; ci < num_cells; ci = next_cell.fetch_add(1)) body(ci);
+    } catch (...) {
+      failures[static_cast<std::size_t>(lane)] = {ci, std::current_exception()};
+    }
+  };
+  obs::Session* const session = obs::current();
+  std::vector<std::thread> spawned;
+  spawned.reserve(static_cast<std::size_t>(lanes - 1));
+  int lane = 1;
+  try {
+    for (; lane < lanes; ++lane)
+      spawned.emplace_back([&, lane] { run_lane(lane, session); });
+  } catch (...) {
+    // No thread to spare: the caller runs the lanes that did not start.
+  }
+  run_lane(0, nullptr);
+  for (; lane < lanes; ++lane) run_lane(lane, nullptr);
+  for (std::thread& t : spawned) t.join();
+  const Failure* first = nullptr;
+  for (const Failure& f : failures)
+    if (f.error && (first == nullptr || f.cell < first->cell)) first = &f;
+  if (first != nullptr) std::rethrow_exception(first->error);
+}
 
 /// Replay the merges of a local topology inside the global one.
 /// `local_to_global[k]` maps the local *leaf* k; grows with internal nodes
@@ -67,61 +143,60 @@ BuildResult build_topology_clustered(std::span<const ct::Sink> sinks,
   }
 
   ct::Topology global(n);
-  const auto num_cells = static_cast<std::int64_t>(cells.size());
+  const int num_cells = static_cast<int>(cells.size());
   std::vector<SeedSink> tops(static_cast<std::size_t>(num_cells));
   std::vector<int> cell_roots;
 
   {
-    // Cell builds are independent, so they fan out across the pool (one
-    // cell per chunk); each iteration writes only its own locals/tops
-    // slot. The splice into the global topology stays serial, in cell
-    // order, so the result is identical at every thread count.
+    // Cell builds are independent, so they fan out over fixed lanes; each
+    // cell writes only its own locals/tops slot. The splice into the
+    // global topology stays serial, in cell order, so the result is
+    // identical at every thread count.
     const obs::ScopedTimer obs_cells_timer("cluster_cells");
     std::vector<std::optional<BuildResult>> locals(
         static_cast<std::size_t>(num_cells));
-    const int width = par::resolve_threads(opts.build.num_threads);
-    par::parallel_for(
-        width, 0, num_cells, /*grain=*/1,
-        [&](std::int64_t b, std::int64_t e) {
-          for (std::int64_t ci = b; ci < e; ++ci) {
-            const auto& cell = cells[static_cast<std::size_t>(ci)];
-            // Local build over the cell's sinks.
-            std::vector<SeedSink> seeds;
-            seeds.reserve(cell.size());
-            activity::ActivationMask cell_mask(
-                analyzer ? analyzer->num_instructions() : 0);
-            geom::Point centroid{0.0, 0.0};
-            double cap = 0.0;
-            for (const int s : cell) {
-              SeedSink seed{sinks[static_cast<std::size_t>(s)],
-                            activity::ActivationMask()};
-              if (analyzer) {
-                seed.mask = analyzer->module_mask(
-                    leaf_module[static_cast<std::size_t>(s)]);
-                cell_mask |= seed.mask;
-              }
-              centroid.x += seed.sink.loc.x;
-              centroid.y += seed.sink.loc.y;
-              cap += seed.sink.cap;
-              seeds.push_back(std::move(seed));
-            }
-            centroid.x /= static_cast<double>(cell.size());
-            centroid.y /= static_cast<double>(cell.size());
+    // The deadline is polled here, on the caller, and never on a spawned
+    // lane, so the abort points are the same at every width.
+    guard::poll_deadline("parallel");
+    const int lanes =
+        std::min({resolve_width(opts.build.num_threads), num_cells,
+                  std::max(hardware_threads(), 8)});
+    for_each_cell(lanes, num_cells, [&](int ci) {
+      const auto& cell = cells[static_cast<std::size_t>(ci)];
+      // Local build over the cell's sinks.
+      std::vector<SeedSink> seeds;
+      seeds.reserve(cell.size());
+      activity::ActivationMask cell_mask(
+          analyzer ? analyzer->num_instructions() : 0);
+      geom::Point centroid{0.0, 0.0};
+      double cap = 0.0;
+      for (const int s : cell) {
+        SeedSink seed{sinks[static_cast<std::size_t>(s)],
+                      activity::ActivationMask()};
+        if (analyzer) {
+          seed.mask =
+              analyzer->module_mask(leaf_module[static_cast<std::size_t>(s)]);
+          cell_mask |= seed.mask;
+        }
+        centroid.x += seed.sink.loc.x;
+        centroid.y += seed.sink.loc.y;
+        cap += seed.sink.cap;
+        seeds.push_back(std::move(seed));
+      }
+      centroid.x /= static_cast<double>(cell.size());
+      centroid.y /= static_cast<double>(cell.size());
 
-            locals[static_cast<std::size_t>(ci)] =
-                build_topology_seeded(seeds, analyzer, opts.build);
-            // The top level sees the cell as a pseudo-sink at its
-            // centroid. The cap only steers merge costs; the real
-            // embedding recomputes it.
-            tops[static_cast<std::size_t>(ci)] = {
-                {centroid, opts.build.gated_edges
-                               ? opts.build.tech.gate_input_cap
-                               : cap},
-                std::move(cell_mask)};
-          }
-        });
+      locals[static_cast<std::size_t>(ci)] =
+          build_topology_seeded(seeds, analyzer, opts.build);
+      // The top level sees the cell as a pseudo-sink at its centroid. The
+      // cap only steers merge costs; the real embedding recomputes it.
+      tops[static_cast<std::size_t>(ci)] = {
+          {centroid,
+           opts.build.gated_edges ? opts.build.tech.gate_input_cap : cap},
+          std::move(cell_mask)};
+    });
     cell_roots.reserve(static_cast<std::size_t>(num_cells));
-    for (std::int64_t ci = 0; ci < num_cells; ++ci)
+    for (int ci = 0; ci < num_cells; ++ci)
       cell_roots.push_back(splice(locals[static_cast<std::size_t>(ci)]->topo,
                                   cells[static_cast<std::size_t>(ci)], global));
   }

@@ -305,7 +305,7 @@ class GreedyEngine {
   }
 
   /// One capture-only event per best-partner recompute, recorded on
-  /// whichever thread runs the engine (pool workers, for the clustered
+  /// whichever thread runs the engine (a spawned lane, for the clustered
   /// builder's per-cell builds).
   static void record_recompute(int i, const BestPartner& bp,
                                std::uint64_t evaluated) {

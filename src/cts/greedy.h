@@ -76,10 +76,9 @@ struct BuildOptions {
   /// keeps a geometric term in every merge; 0 reproduces the literal paper
   /// cost.
   double min_prob_weight{0.05};
-  /// Worker threads for the clustered builder's per-cell fan-out
-  /// (cts/clustered.h, gcr::par). 0 resolves to the GCR_THREADS
-  /// environment default (else the hardware thread count); 1 runs
-  /// serially. A single greedy build is always serial and ignores it. The
+  /// Threads for the clustered builder's per-cell fan-out
+  /// (cts/clustered.h). 0 resolves to the GCR_THREADS environment default
+  /// (else the hardware thread count); 1 runs serially. A single greedy build is always serial and ignores it. The
   /// built topology is bit-identical at every setting.
   int num_threads{0};
   /// Serve best-partner queries from a maintained dynamic bucket index

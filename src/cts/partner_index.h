@@ -93,7 +93,7 @@
 ///
 /// The structure is single-writer: insert/remove/rebuild happen on the
 /// engine's coordinating thread between scans. find_best is const and
-/// touches no mutable state, so any number of pool workers may query
+/// touches no mutable state, so any number of threads may query
 /// concurrently, and every query's result is independent of enumeration
 /// order -- the determinism contract of docs/parallelism.md.
 namespace gcr::cts {

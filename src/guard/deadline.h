@@ -9,13 +9,13 @@
 /// type (unlimited by default); `DeadlineScope` installs one as the calling
 /// thread's ambient deadline, and the pipeline polls it at deterministic
 /// program points -- phase boundaries in route(), between merge steps in
-/// the greedy engine, and before every gcr::par parallel construct.
+/// the greedy engine, and before the clustered builder spawns its lanes.
 ///
 /// Polling throws `CancelledError`, which route_guarded() converts into a
-/// partial RouteOutcome (exit code 3). Because every poll site is a
-/// deterministic position in the *serial* control flow (never inside a
-/// pool worker's chunk), the set of possible abort points is identical at
-/// any thread width; which of them fires depends only on wall-clock time.
+/// partial RouteOutcome (exit code 3). Every poll site is a deterministic
+/// position in the calling thread's control flow; the lanes the clustered
+/// builder spawns carry no deadline, so only the cells the caller builds
+/// itself poll. Which site fires depends only on wall-clock time.
 /// See docs/robustness.md for the exact semantics.
 
 namespace gcr::guard {
@@ -60,7 +60,7 @@ class DeadlineScope {
 };
 
 /// The calling thread's ambient deadline; nullptr when no scope is active
-/// (pool workers never inherit one -- polls live in serial control flow).
+/// (spawned threads never inherit one).
 [[nodiscard]] const Deadline* current_deadline();
 
 /// Throw CancelledError(phase) when the ambient deadline expired. No-op

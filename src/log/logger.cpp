@@ -12,7 +12,6 @@
 #include "guard/status.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "par/pool.h"
 #include "prof/recorder.h"
 
 namespace gcr::log {
@@ -73,8 +72,6 @@ std::string render_event_json(const Record& r, const std::string& run_id) {
   out += obs::json::quote(r.phase);
   out += ",\"tid\":";
   out += std::to_string(r.tid);
-  out += ",\"worker\":";
-  out += std::to_string(r.worker);
   if (r.suppressed > 0) {
     out += ",\"suppressed\":";
     out += std::to_string(r.suppressed);
@@ -386,7 +383,6 @@ EventBuilder::EventBuilder(Level level, std::string_view name) {
   admitted_ = true;
   rec_.level = level;
   rec_.tid = prof::thread_ordinal();
-  rec_.worker = par::worker_ordinal();
   rec_.wall_ns = wall_now_ns();
   rec_.phase = prof::current_phase_path();
 }

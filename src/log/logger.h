@@ -12,10 +12,10 @@
 /// \file logger.h
 /// gcr::log -- leveled structured event logging (docs/observability.md).
 ///
-/// Every emission is a schema-versioned `gcr.event` v1 record: monotonic
+/// Every emission is a schema-versioned `gcr.event` v2 record: monotonic
 /// and wall-clock timestamps, the run id, the emitting thread's open phase
-/// path and thread ordinal (both from the event recorder), the pool-worker
-/// ordinal, a stable dot-separated event name and a key-value payload.
+/// path and thread ordinal (both from the event recorder), a stable
+/// dot-separated event name and a key-value payload.
 /// Call sites use the GCR_LOG_* macros:
 ///
 ///   GCR_LOG_EVENT(gcr::log::Level::Info, "route.done")
@@ -38,7 +38,7 @@ struct Status;
 
 namespace gcr::log {
 
-inline constexpr int kEventSchemaVersion = 1;
+inline constexpr int kEventSchemaVersion = 2;
 
 enum class Level : int { Trace = 0, Debug, Info, Warn, Error, Off };
 
@@ -80,7 +80,6 @@ struct Record {
   std::string name;         ///< stable event name ("route.done")
   std::string phase;        ///< open phase path "route/topology" ("" = none)
   std::uint32_t tid{0};     ///< prof::thread_ordinal()
-  int worker{0};            ///< par::worker_ordinal(); 0 = not a pool worker
   double t_ms{0.0};         ///< monotonic ms since logger init
   std::int64_t wall_ns{0};  ///< wall clock, ns since the Unix epoch
   std::string data;         ///< rendered `"k":v,...` payload (no braces);
@@ -89,7 +88,7 @@ struct Record {
   std::uint64_t session{0};  ///< logger session that admitted it; 0 = any
 };
 
-/// Render a Record as one `gcr.event` v1 JSON line (no trailing newline).
+/// Render a Record as one `gcr.event` v2 JSON line (no trailing newline).
 [[nodiscard]] std::string render_event_json(const Record& r,
                                             const std::string& run_id);
 /// Human one-liner for the stderr sink: "[  12.3ms] warn  guard.diag ...".

@@ -28,7 +28,7 @@ void validate_event(std::vector<std::string>& problems, const Value& doc) {
   require(problems,
           v && v->is_number() &&
               static_cast<int>(v->as_number()) == kEventSchemaVersion,
-          "event v != 1");
+          "event v != 2");
   require(problems, is_string_field(doc, "run"), "missing run id");
   require(problems, is_number_field(doc, "t_ms"), "missing t_ms");
   require(problems, is_string_field(doc, "wall"), "missing wall timestamp");
@@ -44,7 +44,6 @@ void validate_event(std::vector<std::string>& problems, const Value& doc) {
           "missing event name");
   require(problems, is_string_field(doc, "phase"), "missing phase");
   require(problems, is_number_field(doc, "tid"), "missing tid");
-  require(problems, is_number_field(doc, "worker"), "missing worker");
   const Value* data = doc.find("data");
   require(problems, data && data->is_object(), "missing data object");
   const Value* sup = doc.find("suppressed");
@@ -57,7 +56,7 @@ void validate_snapshot(std::vector<std::string>& problems, const Value& doc) {
   require(problems,
           v && v->is_number() &&
               static_cast<int>(v->as_number()) == kSnapshotSchemaVersion,
-          "snapshot v != 1");
+          "snapshot v != 2");
   require(problems, is_string_field(doc, "run"), "missing run id");
   require(problems, is_number_field(doc, "seq"), "missing seq");
   require(problems, is_number_field(doc, "t_ms"), "missing t_ms");
@@ -87,14 +86,6 @@ void validate_snapshot(std::vector<std::string>& problems, const Value& doc) {
         }
       }
     }
-  }
-  const Value* pool = doc.find("pool");
-  if (pool && pool->is_object()) {
-    for (const char* key : {"workers", "busy_ns", "idle_ns", "jobs"})
-      if (!is_number_field(*pool, key))
-        problems.push_back(std::string("pool.") + key + " missing");
-  } else {
-    problems.emplace_back("missing pool object");
   }
   require(problems, is_number_field(doc, "rss_bytes"), "missing rss_bytes");
 }

@@ -9,7 +9,7 @@
 
 /// \file schema.h
 /// Validation and field extraction for the two JSONL line schemas the
-/// logger emits -- `gcr.event` v1 and `gcr.snapshot` v1 -- shared by the
+/// logger emits -- `gcr.event` v2 and `gcr.snapshot` v2 -- shared by the
 /// `gcr_events` tool and log_test so "the tool accepts it" and "the test
 /// accepts it" can never drift apart. docs/observability.md documents
 /// both layouts field by field.

@@ -1,7 +1,6 @@
 #include "log/telemetry.h"
 
 #include <atomic>
-#include <cinttypes>
 #include <cstdio>
 #include <ctime>
 #include <map>
@@ -12,7 +11,6 @@
 #include "log/logger.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "par/pool.h"
 
 namespace gcr::log {
 
@@ -49,12 +47,6 @@ struct HistoPrev {
   double sum{0.0};
 };
 
-struct PoolPrev {
-  std::uint64_t busy_ns{0};
-  std::uint64_t idle_ns{0};
-  std::uint64_t chunks{0};
-};
-
 }  // namespace
 
 struct TelemetryEmitter::Impl {
@@ -66,7 +58,6 @@ struct TelemetryEmitter::Impl {
 
   std::map<std::string, std::uint64_t> prev_counters;
   std::map<std::string, HistoPrev> prev_histograms;
-  PoolPrev prev_pool;
 
   /// Render one snapshot line and write it through the logger.
   void emit() {
@@ -134,26 +125,6 @@ struct TelemetryEmitter::Impl {
     }
     out += '}';
 
-    const par::PoolTelemetry t = par::ThreadPool::global().telemetry();
-    std::uint64_t busy = 0;
-    std::uint64_t idle = 0;
-    std::uint64_t chunks = 0;
-    for (const par::PoolTelemetry::Worker& w : t.workers) {
-      busy += w.busy_ns;
-      idle += w.idle_ns;
-      chunks += w.chunks;
-    }
-    char pool[192];
-    std::snprintf(pool, sizeof pool,
-                  ",\"pool\":{\"workers\":%zu,\"busy_ns\":%" PRIu64
-                  ",\"idle_ns\":%" PRIu64 ",\"chunks\":%" PRIu64
-                  ",\"jobs\":%" PRIu64 "}",
-                  t.workers.size(), busy - prev_pool.busy_ns,
-                  idle - prev_pool.idle_ns, chunks - prev_pool.chunks,
-                  t.jobs);
-    out += pool;
-    prev_pool = {busy, idle, chunks};
-
     out += ",\"rss_bytes\":";
     out += std::to_string(current_rss_bytes());
     out += '}';
@@ -193,7 +164,6 @@ void TelemetryEmitter::start(const Options& opts) {
   impl_->seq = 0;
   impl_->prev_counters.clear();
   impl_->prev_histograms.clear();
-  impl_->prev_pool = {};
   impl_->thread = std::thread([this] { impl_->loop(); });
   impl_->running = true;
 }

@@ -4,14 +4,13 @@
 #include <memory>
 
 /// \file telemetry.h
-/// Continuous `gcr.snapshot` v1 emission: a dedicated thread ticks on a
+/// Continuous `gcr.snapshot` v2 emission: a dedicated thread ticks on a
 /// drift-free absolute monotonic deadline (the same clock_nanosleep
 /// pattern as the prof sampler) and serializes, per tick,
 ///
 ///   * counter and histogram *deltas* since the previous tick (non-zero
 ///     entries only, so an idle process emits near-empty snapshots),
 ///   * current gauge values (gauges are levels, not rates),
-///   * pool busy/idle/chunk deltas and the cumulative job count,
 ///   * current RSS from /proc/self/statm,
 ///
 /// as one JSONL line through the logger's sinks, turning the metrics
@@ -21,7 +20,7 @@
 
 namespace gcr::log {
 
-inline constexpr int kSnapshotSchemaVersion = 1;
+inline constexpr int kSnapshotSchemaVersion = 2;
 
 class TelemetryEmitter {
  public:

@@ -34,14 +34,14 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Pool-worker view of `parent`: shares its time epoch but owns an
+  /// Worker-thread view of `parent`: shares its time epoch but owns an
   /// independent phase tree, because PhaseTimers is single-threaded by
-  /// construction. `par::ThreadPool` binds one of these on each worker for
-  /// the duration of a job, so ScopedTimers inside worker chunks still
-  /// record their phases (for the trace, the sampler and the log's phase
-  /// path) instead of being no-ops. Worker-side phase trees are discarded
-  /// with the view -- per-worker *time* attribution is the pool
-  /// telemetry's job (par::PoolTelemetry), not the phase tree's.
+  /// construction. The clustered builder binds one of these on each lane
+  /// it spawns (cts/clustered.cpp), so ScopedTimers inside a cell build
+  /// still record their phases (for the trace, the sampler and the log's
+  /// phase path) instead of being no-ops. A lane's phase tree is discarded
+  /// with the view; the caller's `cluster_cells` phase holds the fan-out's
+  /// wall time.
   struct WorkerViewTag {};
   Session(WorkerViewTag, const Session& parent) : epoch_(parent.epoch_) {}
 

@@ -32,7 +32,7 @@ bool fallback_forced() {
 
 /// One counter group per sampling thread, opened lazily the first time the
 /// sampler runs there (perf fds are per-thread; a single probe cannot
-/// serve the pool workers). Closed by the thread_local destructor.
+/// serve other threads). Closed by the thread_local destructor.
 struct PerfGroup {
   int fds[4] = {-1, -1, -1, -1};
   bool tried = false;

@@ -5,7 +5,6 @@
 
 #include "obs/report_util.h"
 #include "obs/session.h"
-#include "par/pool.h"
 
 namespace gcr::prof {
 
@@ -65,21 +64,6 @@ void write_profile_report(std::ostream& os, const ProfileReportOptions& opts) {
   for (const char* name : opts.hw.names) w.value(name);
   w.end_array();
 
-  const par::PoolTelemetry t = par::ThreadPool::global().telemetry();
-  w.key("pool").begin_object();
-  w.key("workers").begin_array();
-  for (const par::PoolTelemetry::Worker& worker : t.workers) {
-    w.begin_object();
-    w.field("busy_ns", worker.busy_ns);
-    w.field("idle_ns", worker.idle_ns);
-    w.field("chunks", worker.chunks);
-    w.end_object();
-  }
-  w.end_array();
-  w.field("jobs", t.jobs);
-  w.field("dispatch_overhead_ns", t.dispatch_overhead_ns);
-  w.end_object();
-
   if (opts.session != nullptr) obs::write_phase_forest(w, *opts.session);
   obs::write_metrics(w);
   w.end_object();
@@ -100,7 +84,7 @@ std::vector<std::string> validate_profile_report(const Value& doc) {
   require(problems,
           version && version->is_number() &&
               static_cast<int>(version->as_number()) == kProfileReportVersion,
-          "version != 1");
+          "version != 2");
   const Value* tool = doc.find("tool");
   require(problems, tool && tool->is_string() && !tool->as_string().empty(),
           "missing tool name");
@@ -169,31 +153,6 @@ std::vector<std::string> validate_profile_report(const Value& doc) {
       }
   } else {
     problems.emplace_back("missing hw_counters array");
-  }
-
-  const Value* pool = doc.find("pool");
-  if (pool && pool->is_object()) {
-    require(problems, is_number_field(*pool, "jobs"), "pool.jobs missing");
-    require(problems, is_number_field(*pool, "dispatch_overhead_ns"),
-            "pool.dispatch_overhead_ns missing");
-    const Value* workers = pool->find("workers");
-    if (workers && workers->is_array()) {
-      int idx = 0;
-      for (const Value& worker : workers->as_array()) {
-        const std::string at = "pool.workers[" + std::to_string(idx++) + "]";
-        if (!worker.is_object()) {
-          problems.push_back(at + " is not an object");
-          continue;
-        }
-        for (const char* key : {"busy_ns", "idle_ns", "chunks"})
-          if (!is_number_field(worker, key))
-            problems.push_back(at + "." + key + " missing");
-      }
-    } else {
-      problems.emplace_back("missing pool.workers array");
-    }
-  } else {
-    problems.emplace_back("missing pool object");
   }
 
   const Value* counters = doc.find("counters");

@@ -9,19 +9,17 @@
 #include "prof/sampler.h"
 
 /// \file report.h
-/// The `gcr.profile_report` v1 sidecar: everything gcr::prof measured
+/// The `gcr.profile_report` v2 sidecar: everything gcr::prof measured
 /// about one run, in one schema-validated JSON document.
 ///
-/// Layout (version 1):
+/// Layout (version 2):
 ///   schema            "gcr.profile_report"
-///   version           1
+///   version           2
 ///   tool              producing tool, e.g. "gcr_route" or "gcr_bench/route"
 ///   sampler           { interval_us, ticks, torn,
 ///                       profile: [ {phase, self, total} ... ] }  // self desc
 ///   hw                "perf_event" | "unavailable"
 ///   hw_counters       [ 4 slot names ]  // meaning depends on `hw`
-///   pool              { workers: [ {busy_ns, idle_ns, chunks} ... ],
-///                       jobs, dispatch_overhead_ns }
 ///   phases            obs phase forest (with per-phase "hw" objects when
 ///                     counters were attached)  -- optional
 ///   counters/gauges/histograms                 -- metrics snapshot
@@ -40,7 +38,7 @@ class Session;
 
 namespace gcr::prof {
 
-inline constexpr int kProfileReportVersion = 1;
+inline constexpr int kProfileReportVersion = 2;
 
 struct ProfileReportOptions {
   std::string tool;                          ///< e.g. "gcr_route"

@@ -21,7 +21,7 @@
 /// as `PhaseStats`, i.e. "where was the time actually spent" at a
 /// granularity the phase tree's wall-clock totals cannot give (a phase
 /// that is open 95% of ticks but `self` on 5% is delegating its time to
-/// children or worker chunks). The profiled threads pay nothing extra: the
+/// children or to other threads). The profiled threads pay nothing extra: the
 /// recorder keeps their phase stacks whether or not a sampler runs, so
 /// starting one only adds the sampler thread -- the route bench group
 /// stays within the 2% gate CI enforces.

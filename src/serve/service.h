@@ -37,8 +37,9 @@
 ///     engine are keyed by the content hash of the three input files;
 ///     finished route results by (design hash, option fingerprint) --
 ///     and per-request `threads` is deliberately *not* part of the
-///     fingerprint, because results are bit-identical at every width
-///     (docs/parallelism.md), so a warm hit is valid across widths.
+///     fingerprint: serve routes are flat, so it changes nothing (and a
+///     clustered tree is bit-identical at every width anyway,
+///     docs/parallelism.md), so a warm hit is valid across widths.
 ///     Both caches are bounded with LRU eviction (GCR_W_CACHE_EVICT);
 ///     an entry implicated in an internal error is invalidated, never
 ///     re-served.
@@ -70,9 +71,10 @@ struct ServeOptions {
   /// Budget for requests that do not carry their own deadline_ms.
   /// < 0 = unlimited.
   double default_deadline_ms{-1.0};
-  /// Topology-build width for requests with threads=0. The serving
-  /// default is 1: lanes give inter-request parallelism, and single-width
-  /// routes keep the shared pool uncontended.
+  /// RouterOptions::num_threads for requests with threads=0. It has no
+  /// effect: only the clustered builder reads the width, and a serve
+  /// request never routes clustered (make_router_options leaves
+  /// RouterOptions::clustered off). Lanes give inter-request parallelism.
   int route_threads{1};
   std::string base_dir;  ///< resolve relative request paths against this
 };

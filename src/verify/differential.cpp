@@ -186,8 +186,8 @@ struct Driver {
     }
 
     // Serial vs multi-threaded clustered Eq. 3 build (the only greedy
-    // that fans out): the gcr::par determinism contract says the routed
-    // tree is bit-identical at any width.
+    // that fans out): the determinism contract (docs/parallelism.md) says
+    // the routed tree is bit-identical at any width.
     if (opts.thread_check) {
       core::RouterOptions ropts;
       ropts.style = core::TreeStyle::Gated;

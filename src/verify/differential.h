@@ -20,7 +20,7 @@
 ///   * flat vs clustered greedy: identical zero-skew guarantee, clustered
 ///     wirelength within a documented factor of flat;
 ///   * serial vs multi-threaded clustered Eq. 3 build: bit-identical
-///     routed trees (the gcr::par determinism contract);
+///     routed trees (the determinism contract, docs/parallelism.md);
 ///   * gate reduction (auto-tuned, so the strength-0 candidate anchors the
 ///     sweep) never increases total switched capacitance;
 ///   * the buffered baseline stays invariant-clean with buffer parameters.
@@ -51,9 +51,9 @@ struct DiffOptions {
   /// design (docs/verification.md).
   double clustered_wl_factor{3.0};
   int clustered_min_sinks{24};
-  /// Route the clustered Eq. 3 gated tree serially and at 4 worker
-  /// threads and require bit-identical routed trees (the gcr::par
-  /// determinism contract, docs/parallelism.md).
+  /// Route the clustered Eq. 3 gated tree serially and at 4 threads and
+  /// require bit-identical routed trees (the determinism contract,
+  /// docs/parallelism.md).
   bool thread_check{true};
   /// Route the Eq. 3 gated tree with the dynamic partner index disabled
   /// and require a tree bit-identical to the indexed default -- the

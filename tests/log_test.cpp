@@ -18,21 +18,29 @@
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "obs/timer.h"
-#include "par/pool.h"
 #include "perf/memhook.h"
+#include "prof/recorder.h"
 #include "prof/sampler.h"
 
 /// Unit tests of gcr::log: runtime level filtering, write-through
 /// delivery (a record is in the sink when its statement returns, and a
 /// concurrent burst lands every line in per-thread order), token-bucket
-/// rate limiting with suppression accounting under concurrent pool
-/// writers, shutdown/re-init while pool lanes keep emitting, JSONL schema
-/// round-trips through the shared validator (the same code
-/// `gcr_events --validate` runs), phase/worker context propagation, and
-/// the disabled logger's zero-allocation fast path.
+/// rate limiting with suppression accounting under concurrent writers,
+/// shutdown/re-init while lanes keep emitting, JSONL schema round-trips
+/// through the shared validator (the same code `gcr_events --validate`
+/// runs), phase/thread context propagation, and the disabled logger's
+/// zero-allocation fast path.
 
 namespace gcr {
 namespace {
+
+/// Run lane(l) for l in [0, lanes) on one std::thread each and join them.
+template <typename Lane>
+void run_lanes(int lanes, const Lane& lane) {
+  std::vector<std::thread> threads;
+  for (int l = 0; l < lanes; ++l) threads.emplace_back([&lane, l] { lane(l); });
+  for (std::thread& t : threads) t.join();
+}
 
 /// Init the singleton with a MemorySink and hand back a view that shares
 /// the sink's buffer (MemorySink buffers behind a shared_ptr, so a copy
@@ -106,13 +114,13 @@ TEST_F(LogTest, ConcurrentBurstLandsEveryLineInPerThreadOrder) {
   const log::MemorySink sink = init_with_memory_sink(std::move(opts));
 
   constexpr std::int64_t kTotal = 20000;
-  par::parallel_for(4, 0, kTotal, 64, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i)
+  run_lanes(4, [&](int lane) {
+    for (std::int64_t i = lane; i < kTotal; i += 4)
       GCR_LOG_INFO("burst.line").kv("i", i);
   });
 
-  // A lane claims chunks in increasing order and walks each one upward,
-  // so its own emissions carry strictly increasing i.
+  // Each lane walks its share upward, so its own emissions carry strictly
+  // increasing i.
   const std::vector<log::Record> recs = events_named(sink, "burst.line");
   ASSERT_EQ(recs.size(), static_cast<std::size_t>(kTotal));
   std::vector<bool> seen(kTotal, false);
@@ -133,7 +141,7 @@ TEST_F(LogTest, ConcurrentBurstLandsEveryLineInPerThreadOrder) {
 }
 
 TEST_F(LogTest, ReinitWhileLanesEmitKeepsSessionsApart) {
-  // Pool lanes keep emitting while the main thread shuts the logger down
+  // Four lanes keep emitting while the main thread shuts the logger down
   // and starts it again on a fresh sink. Every lane reads `gen` after its
   // record was admitted, and gen turns 2 only after shutdown() returned,
   // so gen 1 marks a first-session record: none may reach the new sink.
@@ -146,7 +154,7 @@ TEST_F(LogTest, ReinitWhileLanesEmitKeepsSessionsApart) {
   std::atomic<int> gen{1};
   std::atomic<std::uint64_t> emitted{0};
   std::thread driver([&] {
-    par::parallel_for(4, 0, 4, 1, [&](std::int64_t, std::int64_t) {
+    run_lanes(4, [&](int) {
       const auto slow = [] {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         return true;
@@ -196,12 +204,9 @@ TEST_F(LogTest, RateLimiterAccountsEverySuppressedEmission) {
   const log::MemorySink sink = init_with_memory_sink(std::move(opts));
 
   constexpr std::int64_t kTotal = 400;
-  std::atomic<int> saw_worker{0};
-  par::parallel_for(4, 0, kTotal, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      if (par::worker_ordinal() > 0) saw_worker.store(1);
-      GCR_LOG_INFO("rl.burst").kv("i", static_cast<std::int64_t>(i));
-    }
+  run_lanes(4, [&](int lane) {
+    for (std::int64_t i = lane; i < kTotal; i += 4)
+      GCR_LOG_INFO("rl.burst").kv("i", i);
   });
   log::Logger::instance().flush();
 
@@ -262,10 +267,10 @@ TEST_F(LogTest, EmittedLinesSatisfyTheSharedSchemaValidator) {
   EXPECT_EQ(snaps, snapshots);
 }
 
-TEST_F(LogTest, EventsCarryPhasePathAndWorkerOrdinal) {
+TEST_F(LogTest, EventsCarryPhasePathAndThreadOrdinal) {
   log::Options opts;
   opts.level = log::Level::Info;
-  opts.rate_per_sec = 0.0;  // all 64 pool events must land in the sink
+  opts.rate_per_sec = 0.0;  // all 64 lane events must land in the sink
   const log::MemorySink sink = init_with_memory_sink(std::move(opts));
 
   {
@@ -280,9 +285,11 @@ TEST_F(LogTest, EventsCarryPhasePathAndWorkerOrdinal) {
   }
   GCR_LOG_INFO("ctx.none");
 
-  par::parallel_for(4, 0, 64, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i)
-      GCR_LOG_INFO("ctx.pool").kv("i", static_cast<std::int64_t>(i));
+  // Each lane logs its own recorder ordinal; the event's tid must match.
+  run_lanes(4, [&](int lane) {
+    const auto tid = static_cast<std::int64_t>(prof::thread_ordinal());
+    for (int i = 0; i < 16; ++i)
+      GCR_LOG_INFO("ctx.lane").kv("lane", lane).kv("tid", tid);
   });
   log::Logger::instance().flush();
 
@@ -295,29 +302,18 @@ TEST_F(LogTest, EventsCarryPhasePathAndWorkerOrdinal) {
   const std::vector<log::Record> bare = events_named(sink, "ctx.none");
   ASSERT_EQ(bare.size(), 1u);
   EXPECT_EQ(bare[0].phase, "");
-  EXPECT_EQ(bare[0].worker, 0);
+  EXPECT_EQ(bare[0].tid, prof::thread_ordinal());
 
-  const std::vector<log::Record> pool = events_named(sink, "ctx.pool");
-  EXPECT_EQ(pool.size(), 64u);
-
-  // Events emitted on a pool lane carry that lane's 1-based ordinal (a
-  // global pool lane index, so it can exceed the job's width). The
-  // caller is a lane too and can drain every chunk before a worker
-  // wakes on a loaded machine, so retry with slow chunks until a
-  // worker-lane event lands.
-  int max_worker = 0;
-  for (const log::Record& r : pool) max_worker = std::max(max_worker, r.worker);
-  for (int attempt = 0; attempt < 50 && max_worker == 0; ++attempt) {
-    par::parallel_for(4, 0, 64, 1, [&](std::int64_t b, std::int64_t e) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      for (std::int64_t i = b; i < e; ++i)
-        GCR_LOG_INFO("ctx.pool_retry").kv("i", static_cast<std::int64_t>(i));
-    });
-    log::Logger::instance().flush();
-    for (const log::Record& r : events_named(sink, "ctx.pool_retry"))
-      max_worker = std::max(max_worker, r.worker);
+  const std::vector<log::Record> lanes = events_named(sink, "ctx.lane");
+  EXPECT_EQ(lanes.size(), 64u);
+  std::map<std::uint32_t, int> per_tid;
+  for (const log::Record& r : lanes) {
+    EXPECT_EQ(r.data.substr(r.data.find("\"tid\":") + 6),
+              std::to_string(r.tid));
+    EXPECT_NE(r.tid, prof::thread_ordinal());
+    ++per_tid[r.tid];
   }
-  EXPECT_GT(max_worker, 0);
+  EXPECT_EQ(per_tid.size(), 4u);
 }
 
 TEST_F(LogTest, SamplerStartStopKeepsPhasePathsUnderARunningLogger) {

@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "obs/timer.h"
-#include "par/pool.h"
 #include "prof/hwcounters.h"
 #include "prof/recorder.h"
 #include "prof/report.h"
@@ -244,95 +243,64 @@ TEST(Sampler, CreditsSelfToInnermostAndTotalToStack) {
   EXPECT_EQ(outer_self, 0u);
 }
 
-// --- pool telemetry --------------------------------------------------------
+// --- spawned-lane observability -------------------------------------------
 
-std::uint64_t total_worker_chunks(const par::PoolTelemetry& t) {
-  std::uint64_t n = 0;
-  for (const par::PoolTelemetry::Worker& w : t.workers) n += w.chunks;
-  return n;
-}
-
-TEST(PoolTelemetry, DispatchOverheadCounterNonZeroAtWidth4) {
-  obs::set_metrics_enabled(true);
-  obs::Registry::global().reset();
-  const par::PoolTelemetry before = par::ThreadPool::global().telemetry();
-  std::atomic<std::int64_t> sum{0};
-  for (int round = 0; round < 8; ++round)
-    par::parallel_for(4, 0, 512, 4, [&](std::int64_t b, std::int64_t e) {
-      for (std::int64_t i = b; i < e; ++i) sum.fetch_add(i);
-    });
-  const par::PoolTelemetry after = par::ThreadPool::global().telemetry();
-  EXPECT_EQ(sum.load(), 8 * (511 * 512) / 2);
-  EXPECT_EQ(after.jobs - before.jobs, 8u);
-  EXPECT_GT(after.dispatch_overhead_ns, before.dispatch_overhead_ns);
-  EXPECT_GT(
-      obs::Registry::global().counter("par.dispatch_overhead_ns").value(), 0u);
-  EXPECT_EQ(obs::Registry::global().counter("par.jobs").value(), 8u);
-  EXPECT_FALSE(after.workers.empty());
-  // Worker pickup needs chunks slow enough that the caller lane cannot
-  // drain the queue before a worker wakes; the cheap jobs above routinely
-  // finish caller-only on a loaded box.
-  par::parallel_for(4, 0, 32, 1, [](std::int64_t, std::int64_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  const par::PoolTelemetry slow = par::ThreadPool::global().telemetry();
-  EXPECT_GT(total_worker_chunks(slow), total_worker_chunks(before));
-  obs::set_metrics_enabled(false);
-}
-
-// --- worker-thread observability (the PR's regression test) ----------------
-
-TEST(WorkerTrace, ParallelForBodyEventsReachTheSessionSink) {
+TEST(WorkerTrace, SpawnedLaneMergeEventsReachTheSessionSink) {
   obs::Session session;
-  prof::Capture trace;
   obs::Bind bind(&session);
-  constexpr int kChunks = 64;
-  par::parallel_for(4, 0, kChunks, 1, [&](std::int64_t b, std::int64_t) {
-    // Events recorded on pool threads must reach the capture; the sleep
-    // keeps the caller lane from racing through every chunk itself.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    prof::record(prof::Ev::Mark, "chunk", b);
-  });
+  prof::Capture trace;
+  verify::DesignSpec spec = verify::random_spec(91);
+  spec.num_sinks = 128;
+  const core::GatedClockRouter router(verify::generate_design(spec));
+  core::RouterOptions opts;
+  opts.style = core::TreeStyle::Gated;
+  opts.clustered = true;
+  opts.num_threads = 4;
+  (void)router.route(opts);
   trace.stop();
-  std::vector<prof::Event> chunks;
-  for (const prof::Event& e : trace.events())
-    if (e.kind == prof::Ev::Mark && std::string(e.what) == "chunk")
-      chunks.push_back(e);
-  EXPECT_EQ(chunks.size(), static_cast<std::size_t>(kChunks));
-  std::set<std::uint32_t> tids;
-  for (const prof::Event& e : chunks) tids.insert(e.thread);
-  ASSERT_GE(tids.size(), 2u) << "no worker thread recorded a captured event";
 
-  // One ordinal per thread: a pool-worker event names the same thread in
-  // the flight record (its ring tail) and in the Chrome trace.
+  // 128 sinks make a 2x2 grid, so lane 1 builds cell 1 on a spawned
+  // thread: a merge recorded off the caller is certain. Take that thread's
+  // last merge, which its ring tail still holds.
   const std::uint32_t caller = prof::thread_ordinal();
-  const auto worker = std::find_if(chunks.begin(), chunks.end(),
-                                   [&](const prof::Event& e) {
-                                     return e.thread != caller;
-                                   });
-  ASSERT_NE(worker, chunks.end());
+  const std::vector<prof::Event> events = trace.events();
+  const prof::Event* lane = nullptr;
+  for (const prof::Event& e : events)
+    if (e.kind == prof::Ev::Merge && e.thread != caller &&
+        (lane == nullptr || e.thread == lane->thread))
+      lane = &e;
+  ASSERT_NE(lane, nullptr) << "no spawned lane recorded a captured merge";
+
+  // One ordinal per thread: the lane's merge names the same thread in the
+  // flight record (its ring tail) and in the Chrome trace.
   const std::optional<obs::json::Value> record =
       obs::json::parse(flight_record_via_fd(false));
   ASSERT_TRUE(record.has_value());
-  double ring_thread = -1;
+  std::set<double> ring_threads;
   for (const obs::json::Value& th : record->find("threads")->as_array())
     for (const obs::json::Value& e : th.find("events")->as_array())
-      if (e.find("what")->as_string() == "chunk" &&
-          e.number_or("id", 0) == static_cast<double>(worker->id) &&
-          e.number_or("a", -1) == static_cast<double>(worker->a))
-        ring_thread = th.number_or("thread", -1);
-  EXPECT_EQ(ring_thread, static_cast<double>(worker->thread));
+      if (e.find("kind")->as_string() == "merge" &&
+          e.number_or("id", 0) == static_cast<double>(lane->id) &&
+          e.number_or("a", -1) == static_cast<double>(lane->a) &&
+          e.number_or("b", -1) == static_cast<double>(lane->b) &&
+          e.number_or("x", -1) == lane->x)
+        ring_threads.insert(th.number_or("thread", -1));
+  EXPECT_EQ(ring_threads, std::set<double>{static_cast<double>(lane->thread)});
 
   std::ostringstream os;
   trace.write_chrome_json(os);
   const std::optional<obs::json::Value> chrome = obs::json::parse(os.str());
   ASSERT_TRUE(chrome.has_value());
-  double chrome_tid = -1;
-  for (const obs::json::Value& e : chrome->as_array())
-    if (e.find("name")->as_string() == "chunk" &&
-        e.find("args")->number_or("a", -1) == static_cast<double>(worker->a))
-      chrome_tid = e.number_or("tid", -1);
-  EXPECT_EQ(chrome_tid, static_cast<double>(worker->thread));
+  std::set<double> chrome_tids;
+  for (const obs::json::Value& e : chrome->as_array()) {
+    if (e.find("name")->as_string() != "merge") continue;
+    const obs::json::Value& args = *e.find("args");
+    if (args.number_or("a", -1) == static_cast<double>(lane->a) &&
+        args.number_or("b", -1) == static_cast<double>(lane->b) &&
+        args.number_or("cost", -1) == lane->x)
+      chrome_tids.insert(e.number_or("tid", -1));
+  }
+  EXPECT_EQ(chrome_tids, std::set<double>{static_cast<double>(lane->thread)});
 }
 
 TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
@@ -347,7 +315,7 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   const core::GatedClockRouter router(verify::generate_design(spec));
   core::RouterOptions opts;
   opts.style = core::TreeStyle::Gated;
-  // Clustered: its per-cell engines run on pool workers.
+  // Clustered: its per-cell engines run on spawned lanes.
   opts.clustered = true;
   opts.num_threads = 4;
   const core::RouterResult r = router.route(opts);
@@ -363,7 +331,7 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   // n - 1), regardless of which thread the engine ran on.
   EXPECT_EQ(merges, 127u);
   // Every best-partner recompute -- counted by the engine itself -- must
-  // have reached the capture, including the ones pool workers executed.
+  // have reached the capture, including the ones spawned lanes executed.
   EXPECT_EQ(
       recomputes,
       obs::Registry::global().counter("cts.best_partner_recomputes").value());
@@ -402,8 +370,8 @@ TEST(ProfileReport, RoundTripsThroughTheValidator) {
   ASSERT_TRUE(doc.has_value()) << os.str().substr(0, 200);
   EXPECT_TRUE(prof::validate_profile_report(*doc).empty());
 
-  // Negative: a wrong schema tag and a missing pool section must both be
-  // reported as problems, not silently accepted.
+  // Negative: a wrong schema tag and a missing sampler section must both
+  // be reported as problems, not silently accepted.
   std::string corrupt = os.str();
   corrupt.replace(corrupt.find("gcr.profile_report"),
                   std::string("gcr.profile_report").size(), "gcr.bogus");
@@ -411,9 +379,9 @@ TEST(ProfileReport, RoundTripsThroughTheValidator) {
   ASSERT_TRUE(bad.has_value());
   EXPECT_FALSE(prof::validate_profile_report(*bad).empty());
 
-  std::string no_pool = os.str();
-  no_pool.replace(no_pool.find("\"pool\""), 6, "\"loop\"");
-  const std::optional<obs::json::Value> bad2 = obs::json::parse(no_pool);
+  std::string no_sampler = os.str();
+  no_sampler.replace(no_sampler.find("\"sampler\""), 9, "\"sampled\"");
+  const std::optional<obs::json::Value> bad2 = obs::json::parse(no_sampler);
   ASSERT_TRUE(bad2.has_value());
   EXPECT_FALSE(prof::validate_profile_report(*bad2).empty());
   obs::set_metrics_enabled(false);

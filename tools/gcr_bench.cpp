@@ -21,7 +21,7 @@
 ///   --threads N  route_par sweeps clustered-build widths {1, N} instead of
 ///                the default set
 ///   --profile    also write a `PROF_<group>.json` gcr.profile_report per
-///                group (sampling profiler + hw counters + pool telemetry);
+///                group (sampling profiler + hw counters);
 ///                the PROF_ prefix keeps the sidecars out of gcr_benchdiff's
 ///                BENCH_*.json directory glob
 
@@ -631,6 +631,8 @@ int main(int argc, char** argv) {
   // opt a debugging run in.
   const log::CliLogger logger({}, log::Level::Warn);
   perf::RunnerOptions opts = perf::RunnerOptions::from_env();
+  bool quick = false;
+  std::string filter;
   std::string out_dir = ".";
   bool list = false;
   bool mem = true;
@@ -639,9 +641,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--quick") {
-      opts = perf::RunnerOptions::quick_tier();
+      quick = true;
     } else if (flag == "--filter" && i + 1 < argc) {
-      opts.filter = argv[++i];
+      filter = argv[++i];
     } else if (flag == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (flag == "--list") {
@@ -657,6 +659,9 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Applied after the loop so the result does not depend on flag order.
+  if (quick) opts = perf::RunnerOptions::quick_tier();
+  opts.filter = filter;
 
   Groups groups;
   register_activity(groups, opts.quick);

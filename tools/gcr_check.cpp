@@ -99,7 +99,7 @@ void usage() {
          "  --topology swcap|nn|activity|mmm topology scheme\n"
          "  --partitions K                   distributed controllers\n"
          "  --clustered                      two-level construction\n"
-         "  --threads N                      clustered per-cell worker threads\n"
+         "  --threads N                      clustered per-cell threads\n"
          "  --skew-bound PS                  skew budget (0 = exact)\n"
          "  --log-json FILE                  structured gcr.event JSONL log\n"
          "                                   (also via GCR_LOG=FILE)\n"

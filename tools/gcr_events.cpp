@@ -11,7 +11,7 @@
 ///   --level L     keep events at level L or above (snapshots always pass)
 ///   --event S     keep events whose name contains S
 ///   --phase S     keep lines whose phase path contains S
-///   --validate    check every line against the v1 schemas; exit 2 on any
+///   --validate    check every line against the v2 schemas; exit 2 on any
 ///                 violation (malformed log = invalid input)
 ///   --summary     per-event-name counts, level totals, suppression and
 ///                 drop accounting, snapshot count and time span

@@ -43,7 +43,6 @@
 #include "obs/report.h"
 #include "obs/session.h"
 #include "obs/timer.h"
-#include "par/pool.h"
 #include "perf/memhook.h"
 #include "prof/hwcounters.h"
 #include "prof/recorder.h"
@@ -90,7 +89,7 @@ void usage() {
          "  --strength S                     reduction aggressiveness in [0,1]\n"
          "  --auto-tune                      sweep reduction strength, keep best\n"
          "  --clustered                      two-level construction (large designs)\n"
-         "  --threads N                      clustered per-cell worker threads\n"
+         "  --threads N                      clustered per-cell threads\n"
          "                                   (0 = GCR_THREADS or hardware;\n"
          "                                   result identical at any N)\n"
          "  --size-gates                     per-merge gate sizing\n"
@@ -108,8 +107,8 @@ void usage() {
          "                                   chrome://tracing or Perfetto)\n"
          "  --profile FILE                   gcr.profile_report JSON: sampled\n"
          "                                   self/total phase profile, per-phase\n"
-         "                                   hw counters, pool telemetry; on\n"
-         "                                   failure dumps FILE.flightrec.json\n"
+         "                                   hw counters; on failure dumps\n"
+         "                                   FILE.flightrec.json\n"
          "  --verbose                        phase/counter summary to stderr\n"
          "  --mem-stats                      heap bytes per phase + peak RSS\n"
          "                                   to stderr (implies the phase\n"
@@ -435,13 +434,7 @@ int main(int argc, char** argv) {
       prof::write_profile_report(os, po);
       prof::disable_hw_counters();
     }
-    if (a.verbose || a.mem_stats) {
-      obs::print_run_summary(std::cerr, session);
-      const int width = a.threads > 0 ? a.threads : par::default_threads();
-      if (width > 1)
-        par::write_pool_summary(std::cerr,
-                                par::ThreadPool::global().telemetry());
-    }
+    if (a.verbose || a.mem_stats) obs::print_run_summary(std::cerr, session);
     if (a.mem_stats) {
       const perf::memhook::Stats m = perf::memhook::stats();
       char line[160];

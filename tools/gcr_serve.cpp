@@ -79,8 +79,8 @@ void usage() {
          "  --cache-capacity N   bounded LRU capacity for the design and\n"
          "                       result caches (default 64; 0 disables)\n"
          "  --threads N          clustered-build width for requests with\n"
-         "                       threads=0 (default 1; results identical\n"
-         "                       at any width)\n"
+         "                       threads=0 (default 1). Serve requests\n"
+         "                       route flat, so it has no effect\n"
          "  --deadline-ms MS     budget for requests without their own\n"
          "                       deadline_ms (< 0 = unlimited)\n"
          "  --base-dir DIR       resolve relative request paths against\n"
