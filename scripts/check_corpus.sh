@@ -58,6 +58,18 @@ expect 3 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
   --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
   --auto-tune --deadline-ms 0
 
+# A finite sink load far past any real pin (1e308 pF) would overflow the
+# Elmore arithmetic; it is invalid input under every topology and builder.
+awk 'NR == 4 { $3 = "1e308" } 1' "$demo/demo.sinks" > "$demo/huge_cap.sinks"
+for topo in swcap nn; do
+  for builder in "" "--clustered --threads 4"; do
+    # shellcheck disable=SC2086  # $builder is zero or more flags
+    expect 2 "$BUILD"/tools/gcr_route --sinks "$demo/huge_cap.sinks" \
+      --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
+      --topology "$topo" $builder
+  done
+done
+
 # gcr_serve speaks the same contract per request; the batch exit is the
 # worst request's code (docs/serving.md).
 {

@@ -24,8 +24,6 @@ void PartnerIndex::init(Metric metric, const tech::TechParams* tech,
   rebuilds_ = 0;
   items_.assign(static_cast<std::size_t>(capacity), {});
   cell_of_.assign(static_cast<std::size_t>(capacity), -1);
-  self_heap_.clear();
-  self_pos_.assign(static_cast<std::size_t>(capacity), -1);
   build_levels();
 }
 
@@ -75,7 +73,6 @@ void PartnerIndex::insert(int id, const Item& item) {
   assert(cell_of_[static_cast<std::size_t>(id)] < 0);
   items_[static_cast<std::size_t>(id)] = item;
   bucket_insert(id, item);
-  if (metric_ == Metric::SwitchedCap) self_push(id, item.self_cost);
   ++size_;
 }
 
@@ -91,7 +88,6 @@ void PartnerIndex::remove(int id) {
     }
   }
   cell_of_[static_cast<std::size_t>(id)] = -1;
-  if (metric_ == Metric::SwitchedCap) self_erase(id);
   --size_;
   // Keep every aggregate exact: recompute the leaf from its remaining
   // members, then each ancestor from its four child lanes.
@@ -130,49 +126,6 @@ void PartnerIndex::rebuild() {
   ++rebuilds_;
 }
 
-void PartnerIndex::self_push(int id, double self_cost) {
-  self_heap_.emplace_back();
-  self_place(static_cast<int>(self_heap_.size()) - 1, {self_cost, id});
-  self_sift_up(static_cast<int>(self_heap_.size()) - 1);
-}
-
-void PartnerIndex::self_erase(int id) {
-  const int i = self_pos_[static_cast<std::size_t>(id)];
-  assert(i >= 0);
-  self_pos_[static_cast<std::size_t>(id)] = -1;
-  const std::pair<double, int> last = self_heap_.back();
-  self_heap_.pop_back();
-  if (i == static_cast<int>(self_heap_.size())) return;
-  self_place(i, last);
-  self_sift_up(i);
-  self_sift_down(self_pos_[static_cast<std::size_t>(last.second)]);
-}
-
-void PartnerIndex::self_sift_up(int i) {
-  const std::pair<double, int> e = self_heap_[static_cast<std::size_t>(i)];
-  while (i > 0) {
-    const int parent = (i - 1) / 2;
-    if (!(e < self_heap_[static_cast<std::size_t>(parent)])) break;
-    self_place(i, self_heap_[static_cast<std::size_t>(parent)]);
-    i = parent;
-  }
-  self_place(i, e);
-}
-
-void PartnerIndex::self_sift_down(int i) {
-  const int n = static_cast<int>(self_heap_.size());
-  const std::pair<double, int> e = self_heap_[static_cast<std::size_t>(i)];
-  for (int c = 2 * i + 1; c < n; c = 2 * i + 1) {
-    if (c + 1 < n && self_heap_[static_cast<std::size_t>(c + 1)] <
-                         self_heap_[static_cast<std::size_t>(c)])
-      ++c;
-    if (!(self_heap_[static_cast<std::size_t>(c)] < e)) break;
-    self_place(i, self_heap_[static_cast<std::size_t>(c)]);
-    i = c;
-  }
-  self_place(i, e);
-}
-
 bool PartnerIndex::aggregates_exact() const {
   // Rebuild every level from scratch over the stored items.
   std::vector<std::vector<Quad>> fresh(levels_.size());
@@ -195,16 +148,6 @@ bool PartnerIndex::aggregates_exact() const {
       for (int lane = 0; lane < 4; ++lane)
         if (!levels_[k][i].lane_equals(lane, fresh[k][i])) return false;
 
-  if (metric_ != Metric::SwitchedCap) return self_heap_.empty();
-  if (static_cast<int>(self_heap_.size()) != size_) return false;
-  for (std::size_t i = 0; i < self_heap_.size(); ++i) {
-    const auto& [s, id] = self_heap_[i];
-    if (cell_of_[static_cast<std::size_t>(id)] < 0 ||
-        self_pos_[static_cast<std::size_t>(id)] != static_cast<int>(i) ||
-        s != items_[static_cast<std::size_t>(id)].self_cost)
-      return false;
-    if (i > 0 && self_heap_[i] < self_heap_[(i - 1) / 2]) return false;
-  }
   return true;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "clocktree/zskew.h"
@@ -38,7 +37,7 @@
 /// `1 - 1e-9` (mirroring the engine's kLbSlack) and compared with strict
 /// `>`, so a tie-capable candidate is never skipped.
 ///
-/// The scan is a best-first DFS over the pyramid: a node prices the
+/// The scan is a branch-and-bound walk over the pyramid: a node prices the
 /// cheapest pair its subtree could possibly contain from a distance bound
 ///
 ///   d = max(0, dist(center_q, member-bbox) - reach_q - max_reach)
@@ -46,9 +45,7 @@
 /// (for Metric::Distance the cost IS the distance; for SwitchedCap the
 /// bound is priced through Eq. 3 with the node's min self_cost / min
 /// p_floor), and a node whose bound strictly exceeds the incumbent is
-/// discarded with its entire subtree. Children are descended cheapest
-/// bound first (ties toward the lower child index), so the incumbent
-/// tightens as fast as possible.
+/// discarded with its entire subtree.
 ///
 /// SwitchedCap bounds price the wire *per side* of the zero-skew balance
 /// split, each side's length at its own probability weight. This is the
@@ -66,21 +63,19 @@
 /// (it is monotone in each coefficient), so a subtree whose delay range
 /// sits far from the query's is priced out even at distance 0.
 ///
-/// Branch-and-bound is only as good as its first incumbent, so the query
-/// seeds from both ends of the cost structure before descending. Every
-/// query starts with the query's own bucket -- the distance-0 neighborhood,
-/// the right guess when cost is geometry-dominated. SwitchedCap queries
-/// additionally exploit the additive structure of the Eq. 3 bound
-/// (cost(q, j) >= self_q + self_j, the wire term is nonnegative): the
-/// index keeps all items in a (self_cost, id) min-heap and the query
-/// prices its first few entries in order -- the globally cheapest selves,
-/// the right guess in the activity-floor regime where wire is nearly free
-/// and the best partner may sit anywhere on the die. A near-final incumbent
-/// before the DFS is what lets node bounds discard whole quadrants at the
-/// top of the pyramid instead of near the leaves. Per candidate a per-pair
-/// bound (center distance minus reaches, priced through the metric) is
-/// tried before `eval`; survivors pay the exact pair cost, which the
-/// engine computes from the closed-form balance split without touching
+/// The walk starts at the query and climbs. It scans the query's own
+/// bucket first -- the distance-0 neighborhood, which arms the incumbent
+/// before any node is priced. Then, one level at a time from the buckets
+/// up to the root's children, it prices the <= 3 nonempty siblings of the
+/// query's ancestor and searches the survivors to the bottom (a
+/// cheapest-bound-first DFS, ties toward the lower lane) before climbing.
+/// The own bucket and those siblings cover every stored item exactly once,
+/// the ancestors themselves are never priced, and near quadrants are
+/// searched before far ones, so the incumbent is usually final by the time
+/// the far quadrants are priced and they fall at the top. Per candidate a
+/// per-pair bound (center distance minus reaches, priced through the
+/// metric) is tried before `eval`; survivors pay the exact pair cost, which
+/// the engine computes from the closed-form balance split without touching
 /// merged-segment geometry.
 ///
 /// Aggregates are *exact* after every mutation: insert folds the item into
@@ -161,8 +156,7 @@ class PartnerIndex {
   bool maybe_rebuild();
 
   /// True when every pyramid aggregate equals a from-scratch recomputation
-  /// over the stored items and the self-cost heap is a valid heap over
-  /// exactly the stored ids. An O(size + nodes) consistency check for tests.
+  /// over the stored items. An O(size + nodes) consistency check for tests.
   [[nodiscard]] bool aggregates_exact() const;
 
   /// Exact best partner of `id` (which must be stored): the (cost,
@@ -268,14 +262,6 @@ class PartnerIndex {
   void bucket_insert(int id, const Item& item);
   void rebuild();
   void build_levels();
-  void self_push(int id, double self_cost);
-  void self_erase(int id);
-  void self_sift_up(int i);
-  void self_sift_down(int i);
-  void self_place(int i, const std::pair<double, int>& e) {
-    self_heap_[static_cast<std::size_t>(i)] = e;
-    self_pos_[static_cast<std::size_t>(e.second)] = i;
-  }
   /// The quad holding node (x, y) of level k (its lane is lane_of(x, y)).
   [[nodiscard]] std::size_t quad_of(std::size_t k, int x, int y) const {
     return static_cast<std::size_t>(y >> 1) * level_dim_[k + 1] +
@@ -332,9 +318,9 @@ class PartnerIndex {
         qc, {std::clamp(q.a_coef, n.min_a[k], n.max_a[k]), n.max_b[k]}, d,
         rc_);
     // When the query itself carries the floor weight, the per-side refine
-    // cannot beat pricing the whole span at p_floor_q -- and this is the
-    // common case (most queries sit at the activity floor), so it skips
-    // the corner divisions entirely.
+    // cannot beat pricing the whole span at p_floor_q, so this path skips
+    // the corner divisions. It is the minority: on route_large 2,153,274
+    // of 2,993,844 node bounds take the per-side path below.
     if (q.p_floor <= n.min_pf[k])
       return (q.self_cost + n.min_self[k] +
               tech_->wire_cap(total_lb) * q.p_floor) *
@@ -404,13 +390,6 @@ class PartnerIndex {
   /// legitimate (tie-capable) candidate from looking strictly dominated.
   static constexpr double kSlack = 1.0 - 1e-9;
 
-  /// How many of the globally cheapest-self candidates seed the incumbent
-  /// before the pyramid descent (SwitchedCap only). In the activity-floor
-  /// regime the optimum partner is usually among these few, so the DFS
-  /// starts with a near-final cutoff; the seeds are only a hint, never a
-  /// completeness requirement.
-  static constexpr int kSelfSeeds = 8;
-
   Metric metric_{Metric::Distance};
   const tech::TechParams* tech_{nullptr};
   double rc_{0.0};  ///< unit_res * unit_cap (snake-length quadratic term)
@@ -428,13 +407,6 @@ class PartnerIndex {
   std::vector<int> level_dim_;
   std::vector<Item> items_;   ///< node id -> item (valid while stored)
   std::vector<int> cell_of_;  ///< node id -> level-0 cell (-1 when absent)
-  /// All stored items as a binary min-heap on (self_cost, id) -- the
-  /// SwitchedCap query walks its first kSelfSeeds entries in order for the
-  /// incumbent seeds. Exact under mutation (erase on remove), so it needs
-  /// no rebuild; empty for Metric::Distance. self_pos_[id] is the id's
-  /// heap slot (-1 when absent).
-  std::vector<std::pair<double, int>> self_heap_;
-  std::vector<int> self_pos_;
 };
 
 template <class Eval>
@@ -466,55 +438,9 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
     }
   };
 
-  // Seed the incumbent from both ends of the cost structure before the
-  // descent: the query's own bucket (the distance-0 neighborhood -- best
-  // when cost is geometry-dominated) and, for SwitchedCap, the globally
-  // cheapest-self candidates (best in the activity-floor regime, where the
-  // wire term is nearly free and the optimum can sit anywhere on the die).
-  // A near-final incumbent before the DFS is what lets node bounds discard
-  // whole quadrants at the top of the pyramid instead of near the leaves,
-  // and what arms the eval callback's own exact-geometry bound from the
-  // first leaf scans.
-  const int qcell = cell_of_[static_cast<std::size_t>(id)];
-  for (const int j : bucket_ids_[static_cast<std::size_t>(qcell)])
-    consider(j);
-  if (metric_ == Metric::SwitchedCap && !self_heap_.empty()) {
-    // Walk the heap in (self_cost, id) order: a best-first frontier over
-    // heap slots, kept sorted descending so the next entry is at the back.
-    // Each step pops one slot and pushes at most its two children, and the
-    // walk stops within kSelfSeeds + 2 steps.
-    int frontier[kSelfSeeds + 4];
-    int nf = 0;
-    frontier[nf++] = 0;
-    const int heap_size = static_cast<int>(self_heap_.size());
-    int seeds = kSelfSeeds;
-    while (nf > 0) {
-      const int i = frontier[--nf];
-      const auto [s, j] = self_heap_[static_cast<std::size_t>(i)];
-      for (int c = 2 * i + 1; c <= 2 * i + 2 && c < heap_size; ++c) {
-        int at = nf++;
-        for (; at > 0 && self_heap_[static_cast<std::size_t>(
-                             frontier[at - 1])] <
-                             self_heap_[static_cast<std::size_t>(c)];
-             --at)
-          frontier[at] = frontier[at - 1];
-        frontier[at] = c;
-      }
-      if (j == id) continue;
-      // The walk doubles as an exact cutoff: cost(q, j') >= self_q +
-      // self_j' for every later j', so once that exceeds the incumbent the
-      // whole remaining order is strictly dominated -- not just the seed
-      // budget exhausted.
-      if (best.partner >= 0 && (q.self_cost + s) * kSlack > best.cost) break;
-      if (seeds-- <= 0) break;
-      consider(j);
-    }
-  }
-
   // Best-first DFS over an explicit stack: expand the cheapest child first
   // so the incumbent tightens early; re-test each node's bound when it is
   // popped because the incumbent may have improved since it was computed.
-  // The root is always expanded.
   struct Visit {
     double bound;
     int level;
@@ -522,36 +448,21 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   };
   Visit stack[3 * kMaxLevels + 1];
   int depth = 0;
-  stack[depth++] = {-std::numeric_limits<double>::infinity(),
-                    static_cast<int>(levels_.size()) - 1, 0, 0};
   std::uint64_t node_bounds = 0;
-  while (depth > 0) {
-    const Visit v = stack[--depth];
-    if (best.partner >= 0 && v.bound > best.cost) {
-      ++node_skips;
-      continue;
-    }
-    if (v.level == 0) {
-      const int cell = v.y * dim_ + v.x;
-      if (cell == qcell) continue;  // seeded above
-      for (const int j : bucket_ids_[static_cast<std::size_t>(cell)])
-        consider(j);
-      continue;
-    }
-    // Price the nonempty children in one pass, insertion-sorted by bound;
-    // ties keep lane order, i.e. (y, x). A child already strictly
-    // dominated is discarded here instead of when popped -- the incumbent
-    // only improves, so the pop would discard it too.
-    const std::size_t level = static_cast<std::size_t>(v.level);
-    const Quad& c =
-        levels_[level - 1][static_cast<std::size_t>(v.y) * level_dim_[level] +
-                           static_cast<std::size_t>(v.x)];
+
+  /// Price the nonempty lanes of `c` (the level-`level` nodes whose
+  /// top-left sibling is (x0, y0)) other than `skip`, and push the
+  /// survivors cheapest bound first; ties keep lane order, i.e. (y, x). A
+  /// lane already strictly dominated is discarded here instead of when
+  /// popped -- the incumbent only improves, so the pop would discard it too.
+  const auto push_lanes = [&](const Quad& c, int level, int x0, int y0,
+                              int skip) {
     Visit kids[4];
     int nk = 0;
     for (int k = 0; k < 4; ++k) {
-      if (c.count[k] == 0) continue;
-      const Visit kid{node_bound(q, c, k), v.level - 1, 2 * v.x + (k & 1),
-                      2 * v.y + (k >> 1)};
+      if (k == skip || c.count[k] == 0) continue;
+      const Visit kid{node_bound(q, c, k), level, x0 + (k & 1),
+                      y0 + (k >> 1)};
       ++node_bounds;
       if (best.partner >= 0 && kid.bound > best.cost) {
         ++node_skips;
@@ -563,6 +474,40 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
       kids[at] = kid;
     }
     while (nk > 0) stack[depth++] = kids[--nk];
+  };
+
+  // Walk up from the query: its own bucket (the distance-0 neighborhood)
+  // first, then at each level the <= 3 siblings of the query's ancestor,
+  // each searched to the bottom before the walk climbs. The own bucket and
+  // those siblings partition the stored items, so every item is covered
+  // exactly once; near partners arm the incumbent before far quadrants are
+  // priced, and the ancestor path itself is never priced.
+  const int qcell = cell_of_[static_cast<std::size_t>(id)];
+  for (const int j : bucket_ids_[static_cast<std::size_t>(qcell)])
+    consider(j);
+  int ax = qcell % dim_;
+  int ay = qcell / dim_;
+  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
+    push_lanes(levels_[level][quad_of(level, ax, ay)],
+               static_cast<int>(level), ax & ~1, ay & ~1, lane_of(ax, ay));
+    while (depth > 0) {
+      const Visit v = stack[--depth];
+      if (best.partner >= 0 && v.bound > best.cost) {
+        ++node_skips;
+        continue;
+      }
+      if (v.level == 0) {
+        for (const int j :
+             bucket_ids_[static_cast<std::size_t>(v.y * dim_ + v.x)])
+          consider(j);
+        continue;
+      }
+      const auto below = static_cast<std::size_t>(v.level - 1);
+      push_lanes(levels_[below][quad_of(below, 2 * v.x, 2 * v.y)],
+                 v.level - 1, 2 * v.x, 2 * v.y, -1);
+    }
+    ax >>= 1;
+    ay >>= 1;
   }
 
   if (stats != nullptr) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "guard/validate.h"
+
 namespace gcr::eco {
 
 namespace {
@@ -59,6 +61,8 @@ bool validate_delta(const core::Design& base, const DesignDelta& delta,
     }
     if (add.sink.cap < 0.0)
       diag.error(guard::Code::BadCap, who + " has a negative load cap");
+    else if (add.sink.cap > guard::kMaxSinkCap)
+      diag.error(guard::Code::BadCap, who + " has a load cap above 1e6 pF");
     if (!base.die.contains(add.sink.loc))
       diag.warning(guard::Code::OutOfDie, who + " lies outside the die");
     if (add.module < 0 || add.module >= base.rtl.num_modules())

@@ -1,9 +1,11 @@
 #include "guard/validate.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace gcr::guard {
 
@@ -24,6 +26,37 @@ void report_stream_ids(const activity::StreamIdSummary& ids,
                  std::to_string(num_instructions) + "); first at cycle " +
                  std::to_string(ids.first_cycle) + " (id " +
                  std::to_string(ids.first_id) + ")");
+}
+
+/// For each sink with finite coordinates, the index of the first sink at
+/// the same location, or npos when it is the first there (also for sinks
+/// with non-finite coordinates). One sort of the indices by (x, y, index)
+/// groups each location with its lowest index first; -0.0 and 0.0 compare
+/// equal, so they are one location.
+std::vector<std::size_t> first_at_location(const std::vector<ct::Sink>& sinks) {
+  constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> order;
+  order.reserve(sinks.size());
+  for (std::size_t i = 0; i < sinks.size(); ++i)
+    if (finite_normal(sinks[i].loc.x) && finite_normal(sinks[i].loc.y))
+      order.push_back(i);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const geom::Point& p = sinks[a].loc;
+    const geom::Point& q = sinks[b].loc;
+    if (p.x != q.x) return p.x < q.x;
+    if (p.y != q.y) return p.y < q.y;
+    return a < b;
+  });
+  std::vector<std::size_t> first(sinks.size(), npos);
+  for (std::size_t k = 1, head = 0; k < order.size(); ++k) {
+    const geom::Point& p = sinks[order[head]].loc;
+    const geom::Point& q = sinks[order[k]].loc;
+    if (p.x == q.x && p.y == q.y)
+      first[order[k]] = order[head];
+    else
+      head = k;
+  }
+  return first;
 }
 
 }  // namespace
@@ -81,7 +114,7 @@ bool validate_design(const core::Design& design,
 
   // --- sinks --------------------------------------------------------------
   if (design.sinks.empty()) diag.error(Code::EmptyDesign, "design has no sinks");
-  std::map<std::pair<double, double>, std::size_t> seen;
+  const std::vector<std::size_t> first = first_at_location(design.sinks);
   for (std::size_t i = 0; i < design.sinks.size(); ++i) {
     const ct::Sink& s = design.sinks[i];
     if (!finite_normal(s.loc.x) || !finite_normal(s.loc.y)) {
@@ -94,16 +127,16 @@ bool validate_design(const core::Design& design,
                  idx("sink", i) + " has a non-finite or denormal capacitance");
     } else if (s.cap < 0.0) {
       diag.error(Code::BadCap, idx("sink", i) + " has negative capacitance");
+    } else if (s.cap > kMaxSinkCap) {
+      diag.error(Code::BadCap, idx("sink", i) + " has capacitance above 1e6 pF");
     } else if (s.cap == 0.0) {
       demote(Code::BadCap, idx("sink", i) + " has zero capacitance");
     }
     if (!die.contains(s.loc))
       demote(Code::OutOfDie, idx("sink", i) + " lies outside the die area");
-    const auto [it, inserted] = seen.emplace(
-        std::make_pair(s.loc.x, s.loc.y), i);
-    if (!inserted)
+    if (first[i] != std::numeric_limits<std::size_t>::max())
       demote(Code::Duplicate, idx("sink", i) + " duplicates the location of " +
-                                  idx("sink", it->second));
+                                  idx("sink", first[i]));
   }
 
   // --- rtl / sink-module mapping ------------------------------------------

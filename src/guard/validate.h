@@ -14,7 +14,8 @@
 ///
 ///   GCR_E_NONFINITE        NaN/Inf/denormal coordinate or capacitance
 ///   GCR_E_OUT_OF_DIE       sink outside the die area
-///   GCR_E_CAP              negative (strict: also zero) load capacitance
+///   GCR_E_CAP              negative (strict: also zero) load capacitance,
+///                          or one above kMaxSinkCap
 ///   GCR_E_DUPLICATE        two sinks at identical coordinates (strict)
 ///   GCR_E_EMPTY            no sinks
 ///   GCR_E_DIE              inverted / empty / non-finite die box
@@ -36,6 +37,13 @@ namespace gcr::guard {
   const int cls = std::fpclassify(v);
   return cls == FP_NORMAL || cls == FP_ZERO;
 }
+
+/// Largest accepted sink load capacitance [pF], 1 uF. Clock-pin loads are
+/// below 1 pF; a load near the double range overflows the Elmore branch
+/// coefficients (a 1e308 pF sink makes the gated intercept infinite, and
+/// the zero-skew merge then snakes by a NaN delay gap), so every reader and
+/// validator rejects a larger cap as GCR_E_CAP.
+inline constexpr double kMaxSinkCap = 1e6;
 
 /// Resource caps. Zero disables a cap. Defaults are far above any design
 /// in the test suite but low enough to fail fast on garbage.

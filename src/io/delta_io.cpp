@@ -133,6 +133,11 @@ std::optional<eco::DesignDelta> read_delta(std::istream& is, guard::Diag& diag,
                    lx.line_loc(i));
         continue;
       }
+      if (add.sink.cap > guard::kMaxSinkCap) {
+        diag.error(Code::BadCap, "added sink's load cap exceeds 1e6 pF",
+                   lx.line_loc(i));
+        continue;
+      }
       if (add.module < 0) {
         diag.error(Code::Range, "added sink names a negative module id",
                    lx.line_loc(i));

@@ -140,6 +140,11 @@ std::optional<SinksFile> read_sinks(std::istream& is, guard::Diag& diag,
                  lx.line_loc(i));
       continue;
     }
+    if (cap > guard::kMaxSinkCap) {
+      diag.error(Code::BadCap, "sink capacitance exceeds 1e6 pF",
+                 lx.line_loc(i));
+      continue;
+    }
     const bool die_ok = guard::finite_normal(f.die.xlo) &&
                         f.die.width() > 0.0 && f.die.height() > 0.0;
     if (die_ok && !f.die.contains({x, y}))

@@ -75,13 +75,14 @@ std::vector<BenchResult> Runner::run(const RunnerOptions& opts,
     // Calibrate the batch size: one rep must be long enough that the
     // steady-clock quantization is noise, not signal. The calibration
     // call doubles as the first warmup rep.
+    constexpr std::int64_t kMaxBatch = 1'000'000;
     const Clock::time_point c0 = Clock::now();
     fn();
     const double first = seconds_since(c0);
     if (first < opts.min_rep_seconds) {
       const double per_call = std::max(first, 1e-9);
       r.batch = std::min<std::int64_t>(
-          1'000'000,
+          kMaxBatch,
           static_cast<std::int64_t>(opts.min_rep_seconds / per_call) + 1);
     }
 
@@ -100,6 +101,18 @@ std::vector<BenchResult> Runner::run(const RunnerOptions& opts,
       const Clock::time_point t0 = Clock::now();
       for (std::int64_t i = 0; i < r.batch; ++i) fn();
       const double rep_s = seconds_since(t0);
+      if (rep_s < opts.min_rep_seconds && r.batch < kMaxBatch) {
+        // The calibration call ran slower than the steady state, so this
+        // rep is too short to time: double the batch and start the sample
+        // over. Every kept rep lasts at least min_rep_seconds.
+        r.batch = std::min(kMaxBatch, 2 * r.batch);
+        samples_ms.clear();
+        if (mem) {
+          memhook::reset_peak();
+          m0 = memhook::stats();
+        }
+        continue;
+      }
       samples_ms.push_back(rep_s * 1000.0 / static_cast<double>(r.batch));
 
       const int n = static_cast<int>(samples_ms.size());

@@ -292,12 +292,13 @@ TEST(Greedy, IndexedMatchesExhaustiveOnWorkloadDesign) {
                                   MergeCost::SwitchedCapacitance);
   // The pruning work is deterministic, so pin it: stale (merely
   // conservative) index aggregates keep the tree exact but price far more
-  // pyramid nodes, which only this counter shows. Measured: 240,812.
+  // pyramid nodes, which only this counter shows. Measured: 187,745
+  // (240,812 before the partner index walked up from the query's bucket).
   const std::uint64_t node_bounds =
       obs::Registry::global().counter("cts.index_node_bounds").value();
   obs::set_metrics_enabled(false);
   EXPECT_GT(node_bounds, 0u);
-  EXPECT_LE(node_bounds, 240812u * 11 / 10);
+  EXPECT_LE(node_bounds, 187745u * 11 / 10);
   expect_index_matches_exhaustive(inst.bench.sinks, nullptr,
                                   MergeCost::NearestNeighbor);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <streambuf>
@@ -437,6 +438,37 @@ TEST(GuardValidate, StrictFlagsLenientDemotes) {
   EXPECT_TRUE(lenient.has_code(Code::OutOfDie));
 }
 
+TEST(GuardValidate, DuplicateFindingsKeepTheirTextAndOrder) {
+  // A three-way duplicate (sinks 3, 6 and 10, with sink 3 outside the die
+  // so each copy has a finding before its duplicate one), a -0.0 / 0.0
+  // pair (sinks 4 and 8), a non-finite sink (5) and a zero cap (10). Every
+  // copy names the first sink at its location, and the findings keep the
+  // sink-by-sink order.
+  core::Design d = small_design();
+  d.sinks[3].loc = {d.die.xhi + 5.0, d.die.ylo + 1.0};
+  d.sinks[6].loc = d.sinks[3].loc;
+  d.sinks[10].loc = d.sinks[3].loc;
+  d.sinks[10].cap = 0.0;
+  d.sinks[4].loc = {0.0, d.die.ylo + 2.0};
+  d.sinks[8].loc = {-0.0, d.die.ylo + 2.0};
+  d.sinks[5].loc.y = std::numeric_limits<double>::infinity();
+  guard::Diag diag;
+  EXPECT_FALSE(guard::validate_design(d, diag));
+  std::vector<std::string> got;
+  for (const guard::Status& s : diag.entries()) got.push_back(s.to_string());
+  const std::vector<std::string> want = {
+      "error GCR_E_OUT_OF_DIE: sink 3 lies outside the die area",
+      "error GCR_E_NONFINITE: sink 5 has a non-finite or denormal coordinate",
+      "error GCR_E_OUT_OF_DIE: sink 6 lies outside the die area",
+      "error GCR_E_DUPLICATE: sink 6 duplicates the location of sink 3",
+      "error GCR_E_DUPLICATE: sink 8 duplicates the location of sink 4",
+      "error GCR_E_CAP: sink 10 has zero capacitance",
+      "error GCR_E_OUT_OF_DIE: sink 10 lies outside the die area",
+      "error GCR_E_DUPLICATE: sink 10 duplicates the location of sink 3",
+  };
+  EXPECT_EQ(got, want) << ::testing::PrintToString(got);
+}
+
 TEST(GuardValidate, NegativeCapIsAlwaysAnError) {
   core::Design d = small_design();
   d.sinks[4].cap = -0.01;
@@ -445,6 +477,21 @@ TEST(GuardValidate, NegativeCapIsAlwaysAnError) {
   opts.strict = false;
   EXPECT_FALSE(guard::validate_design(d, diag, opts));
   EXPECT_TRUE(diag.has_code(Code::BadCap));
+}
+
+TEST(GuardValidate, CapAboveTheMaximumIsAlwaysAnError) {
+  // A finite but absurd load overflows the Elmore arithmetic downstream,
+  // so lenient validation rejects it too.
+  core::Design d = small_design();
+  d.sinks[2].cap = 1e308;
+  guard::Diag diag;
+  guard::ValidateOptions opts;
+  opts.strict = false;
+  EXPECT_FALSE(guard::validate_design(d, diag, opts));
+  EXPECT_TRUE(diag.has_code(Code::BadCap));
+  d.sinks[2].cap = guard::kMaxSinkCap;
+  guard::Diag at_max;
+  EXPECT_TRUE(guard::validate_design(d, at_max, opts));
 }
 
 TEST(GuardValidate, RejectsStreamIdOutOfRange) {

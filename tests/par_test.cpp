@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/router.h"
+#include "cts/clustered.h"
 #include "guard/status.h"
 #include "verify/generator.h"
 
@@ -71,7 +72,9 @@ TEST(ParDeterminism, ClusteredGreedyIdenticalAtAnyWidth) {
 // A 1e308 pF sink in the last grid cell drives its gate into an infinite
 // delay (R_g * C overflows), so that cell's nearest-neighbour build throws
 // when it commits the sink's merge: on spawned lane 3 at width 4. The
-// route fails with the error a serial build reports.
+// build fails with the error a serial build reports. Validation rejects
+// such a load before any route (guard::kMaxSinkCap), so the builder is
+// driven directly.
 TEST(ParDeterminism, ClusteredCellErrorIsTheSameAtAnyWidth) {
   verify::DesignSpec spec = verify::random_spec(606);
   spec.num_sinks = 64;
@@ -82,17 +85,17 @@ TEST(ParDeterminism, ClusteredCellErrorIsTheSameAtAnyWidth) {
     ymax = std::max(ymax, sink.loc.y);
   }
   design.sinks[0] = {{xmax, ymax}, 1e308};
-  const core::GatedClockRouter router(std::move(design));
-  core::RouterOptions opts;
-  opts.style = core::TreeStyle::Gated;
-  opts.topology = core::TopologyScheme::NearestNeighbor;
-  opts.clustered = true;
+  cts::ClusterOptions opts;
+  opts.build.cost = cts::MergeCost::NearestNeighbor;
+  const std::vector<int> modules =
+      cts::identity_modules(static_cast<int>(design.sinks.size()));
   std::vector<guard::Status> errors;
   for (const int width : {1, 4}) {
-    opts.num_threads = width;
+    opts.build.num_threads = width;
     try {
-      (void)router.route(opts);
-      ADD_FAILURE() << "width " << width << " routed an overflowing design";
+      (void)cts::build_topology_clustered(design.sinks, nullptr, modules,
+                                          opts);
+      ADD_FAILURE() << "width " << width << " built an overflowing design";
     } catch (const guard::GuardError& e) {
       errors.push_back(e.status());
     }

@@ -8,8 +8,13 @@
 #include <random>
 #include <vector>
 
+#include "activity/analyzer.h"
+#include "benchdata/rbench.h"
+#include "benchdata/workload.h"
 #include "clocktree/zskew.h"
+#include "cts/greedy.h"
 #include "geom/point.h"
+#include "obs/metrics.h"
 #include "tech/params.h"
 #include "test_seed.h"
 
@@ -315,6 +320,94 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PartnerIndexFuzz,
                          ::testing::ValuesIn(gcr::test::fuzz_seeds(
                              {11, 2026, 424242})),
                          gcr::test::SeedParamName{});
+
+/// Odd grid widths: with dim 3, 5 or 7 the right column and bottom row of
+/// every level's quads hold lanes past the grid's edge that never fill, so
+/// the leaf-up walk meets an ancestor with fewer than 3 siblings at every
+/// level. Fill every bucket with two items, then query from every corner
+/// and edge bucket, before and after emptying the whole last row.
+void run_odd_grid(cts::PartnerIndex::Metric metric, int dim, bool quantized) {
+  const double side = 100.0 * dim;
+  // init sizes the grid as floor(sqrt(expected / 2)) with expected =
+  // capacity / 2, so 2 * dim^2 items at capacity 4 * dim^2 give `dim`.
+  Model m(metric, /*capacity=*/4 * dim * dim, side);
+  std::mt19937_64 rng(static_cast<std::uint64_t>(dim) * 131 + quantized);
+  std::uniform_real_distribution<double> in_cell(0.05, 0.95);
+  std::vector<std::vector<int>> ids_at(static_cast<std::size_t>(dim * dim));
+  for (int y = 0; y < dim; ++y)
+    for (int x = 0; x < dim; ++x)
+      for (int k = 0; k < 2; ++k) {
+        cts::PartnerIndex::Item it = random_item(rng, side, quantized);
+        it.center = {100.0 * (x + in_cell(rng)), 100.0 * (y + in_cell(rng))};
+        if (quantized)
+          it.center = {100.0 * x + 50.0, 100.0 * y + 50.0};
+        ids_at[static_cast<std::size_t>(y * dim + x)].push_back(m.insert(it));
+      }
+  ASSERT_TRUE(m.index.aggregates_exact());
+  const auto query_edges = [&] {
+    for (int y = 0; y < dim; ++y)
+      for (int x = 0; x < dim; ++x) {
+        if (x != 0 && y != 0 && x != dim - 1 && y != dim - 1) continue;
+        for (const int id : ids_at[static_cast<std::size_t>(y * dim + x)])
+          if (m.is_live[static_cast<std::size_t>(id)]) expect_exact(m, id);
+      }
+  };
+  query_edges();
+  for (int x = 0; x < dim; ++x)
+    for (const int id :
+         ids_at[static_cast<std::size_t>((dim - 1) * dim + x)])
+      m.remove(id);
+  ASSERT_TRUE(m.index.aggregates_exact());
+  query_edges();
+}
+
+TEST(PartnerIndex, OddGridWidthsMatchBruteForceFromEveryEdgeBucket) {
+  for (const int dim : {3, 5, 7}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    for (const bool quantized : {false, true}) {
+      run_odd_grid(cts::PartnerIndex::Metric::SwitchedCap, dim, quantized);
+      run_odd_grid(cts::PartnerIndex::Metric::Distance, dim, quantized);
+    }
+  }
+}
+
+TEST(PartnerIndex, NodeBoundsPerQueryStayWithinBudget) {
+  // The walk's work on one seeded 4,096-sink Eq. 3 build. The counters are
+  // exact and do not depend on timing, so a descent that prices more nodes
+  // per query fails here without any flakiness. Measured with the leaf-up
+  // walk: 20,094 queries pricing 1,079,605 nodes (53.7 per query); the
+  // root-down descent with self-cost seeds priced 1,244,855 (62.0).
+  const int n = 4096;
+  const std::uint64_t seed = 23;
+  const benchdata::RBench bench =
+      benchdata::generate_rbench({"budget", n, 6000.0, 0.005, 0.08, seed});
+  benchdata::WorkloadSpec wspec;
+  wspec.num_instructions = 32;
+  wspec.target_activity = 0.4;
+  wspec.stream_length = 4000;
+  wspec.seed = seed;
+  const benchdata::Workload wl =
+      benchdata::generate_workload(wspec, bench.sinks, bench.die);
+  const activity::ActivityAnalyzer an(wl.rtl, wl.stream);
+  cts::BuildOptions opts;
+  opts.cost = cts::MergeCost::SwitchedCapacitance;
+  opts.control_point = bench.die.center();
+
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  const cts::BuildResult r =
+      cts::build_topology(bench.sinks, &an, cts::identity_modules(n), opts);
+  const std::uint64_t queries =
+      obs::Registry::global().counter("cts.index_queries").value();
+  const std::uint64_t node_bounds =
+      obs::Registry::global().counter("cts.index_node_bounds").value();
+  obs::set_metrics_enabled(false);
+  ASSERT_TRUE(r.topo.valid());
+  EXPECT_EQ(queries, 20094u);
+  EXPECT_LE(static_cast<double>(node_bounds) / static_cast<double>(queries),
+            1079605.0 / 20094.0 * 1.02)
+      << node_bounds << " node bounds over " << queries << " queries";
+}
 
 TEST(PartnerIndex, RemoveThenReinsertSameCoordinateIsExact) {
   // The minimal ECO re-entry: an item leaves and an identical item comes
