@@ -227,7 +227,7 @@ std::vector<Block> example_tables() {
   const char* tags[] = {"00", "01", "10", "11"};
   for (const auto& row : an.imatt().rows()) {
     std::vector<std::string> cells{
-        Table::num(row.prob, 3),
+        Table::num(an.imatt().pair_prob(row.cur, row.nxt), 3),
         "I" + std::to_string(row.cur + 1) + " I" + std::to_string(row.nxt + 1)};
     for (int m = 0; m < ex.rtl.num_modules(); ++m)
       cells.push_back(tags[activity::Imatt::activation_tag(ex.rtl, row, m)]);

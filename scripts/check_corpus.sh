@@ -70,6 +70,24 @@ for topo in swcap nn; do
   done
 done
 
+# Coordinates far past any die (1e200 on a 1e300 die) would overflow the
+# squared wire lengths of the Elmore terms; invalid input under both
+# topologies.
+awk 'NR == 2 { $4 = "1e300"; $5 = "1e300" } NR == 4 { $1 = "1e200"; $2 = "1e200" } 1' \
+  "$demo/demo.sinks" > "$demo/huge_coord.sinks"
+for topo in swcap nn; do
+  expect 2 "$BUILD"/tools/gcr_route --sinks "$demo/huge_coord.sinks" \
+    --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" --topology "$topo"
+done
+
+# An output file that cannot be written is invalid input too, not a
+# silent success.
+expect 2 "$BUILD"/tools/gcr_route --demo /nonexistent/demo
+for out in --tree --svg; do
+  expect 2 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+    --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" "$out" /nonexistent/out
+done
+
 # gcr_serve speaks the same contract per request; the batch exit is the
 # worst request's code (docs/serving.md).
 {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "activity/ift.h"
@@ -18,15 +19,17 @@
 ///
 /// for arbitrary module sets. The engine works on *activation masks*: the
 /// K-bit set of instructions that activate a subtree. A subtree merge is
-/// then a mask union, and
+/// then a mask union, and over the stream's integer counts
 ///
-///   P(EN)    = sum_{k in mask} P(I_k)
-///   P_tr(EN) = sum_{a in mask} touch(a) - sum_{a,b in mask} Q(a,b)
+///   P(EN)    = sum_{k in mask} count(I_k) / B
+///   P_tr(EN) = (sum_{a in mask} touch(a)
+///               - 2 sum_{a,b in mask} count(a->b)) / (B - 1)
 ///
-/// where touch(a) = sum_b (P(a->b) + P(b->a)) and Q(a,b) = P(a->b) + P(b->a)
-/// -- an O(K) / O(|mask|^2) evaluation that is exactly equivalent to summing
-/// the IMATT rows whose OR-ed activation tags toggle (see analyzer.cpp for
-/// the derivation).
+/// where touch(a) counts the consecutive pairs with I_a on either side. The
+/// numerator of P_tr(EN) is exactly the number of pairs on which the enable
+/// toggles (see analyzer.cpp for the derivation), so each query sums
+/// integers in O(K) / O(|mask|^2) and divides once, and agrees bit for bit
+/// with BruteForceActivity's rescan.
 
 namespace gcr::activity {
 
@@ -34,7 +37,6 @@ class ActivityAnalyzer {
  public:
   ActivityAnalyzer(const RtlDescription& rtl, const InstructionStream& stream);
 
-  [[nodiscard]] const RtlDescription& rtl() const { return *rtl_; }
   [[nodiscard]] const Ift& ift() const { return ift_; }
   [[nodiscard]] const Imatt& imatt() const { return imatt_; }
   [[nodiscard]] int num_instructions() const { return ift_.num_instructions(); }
@@ -74,13 +76,12 @@ class ActivityAnalyzer {
   ActivityAnalyzer(const RtlDescription& rtl, const obs::ScopedTimer& timer,
                    const StreamCounts& counts);
 
-  const RtlDescription* rtl_;
   Ift ift_;
   Imatt imatt_;
   StreamIdSummary ids_;
   std::vector<ActivationMask> module_masks_;
-  std::vector<double> touch_;  ///< touch(a)
-  std::vector<double> q_;      ///< K*K symmetric Q(a,b)
+  std::vector<std::uint64_t> touch_;  ///< touch(a)
+  std::vector<std::uint64_t> q_;      ///< K*K symmetric q(a,b)
   // Counters resolved once at construction so the per-query guard is a
   // plain bool load + pointer increment (no static-init check in the
   // millions-of-calls paths).

@@ -8,12 +8,6 @@
 
 namespace gcr::eco {
 
-namespace {
-
-[[nodiscard]] bool finite(double v) { return std::isfinite(v); }
-
-}  // namespace
-
 bool validate_delta(const core::Design& base, const DesignDelta& delta,
                     guard::Diag& diag) {
   const std::size_t before = diag.error_count();
@@ -39,27 +33,26 @@ bool validate_delta(const core::Design& base, const DesignDelta& delta,
 
   for (const SinkMove& mv : delta.moves) {
     touch(mv.sink, "move");
-    if (!finite(mv.to.x) || !finite(mv.to.y)) {
-      diag.error(guard::Code::NonFinite,
-                 "move of sink " + std::to_string(mv.sink) +
-                     " has a non-finite target coordinate");
-    } else if (!base.die.contains(mv.to)) {
+    const std::string who = "move of sink " + std::to_string(mv.sink);
+    if (std::optional<guard::Status> bad =
+            guard::point_finding(mv.to, who + " target"))
+      diag.report(std::move(*bad));
+    else if (!base.die.contains(mv.to))
       diag.warning(guard::Code::OutOfDie,
-                   "move of sink " + std::to_string(mv.sink) +
-                       " targets a point outside the die");
-    }
+                   who + " targets a point outside the die");
   }
   for (const int r : delta.removes) touch(r, "remove");
   for (std::size_t i = 0; i < delta.adds.size(); ++i) {
     const SinkAdd& add = delta.adds[i];
     const std::string who = "added sink #" + std::to_string(i);
-    if (!finite(add.sink.loc.x) || !finite(add.sink.loc.y) ||
-        !finite(add.sink.cap)) {
-      diag.error(guard::Code::NonFinite,
-                 who + " has a non-finite coordinate or cap");
+    if (std::optional<guard::Status> bad =
+            guard::point_finding(add.sink.loc, who)) {
+      diag.report(std::move(*bad));
       continue;
     }
-    if (add.sink.cap < 0.0)
+    if (!std::isfinite(add.sink.cap))
+      diag.error(guard::Code::NonFinite, who + " has a non-finite load cap");
+    else if (add.sink.cap < 0.0)
       diag.error(guard::Code::BadCap, who + " has a negative load cap");
     else if (add.sink.cap > guard::kMaxSinkCap)
       diag.error(guard::Code::BadCap, who + " has a load cap above 1e6 pF");

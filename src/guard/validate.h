@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "core/design.h"
 #include "guard/status.h"
@@ -13,12 +16,14 @@
 /// that previously produced UB, asserts, or silent nonsense:
 ///
 ///   GCR_E_NONFINITE        NaN/Inf/denormal coordinate or capacitance
+///   GCR_E_RANGE            sink coordinate above kMaxCoordinate in magnitude
 ///   GCR_E_OUT_OF_DIE       sink outside the die area
 ///   GCR_E_CAP              negative (strict: also zero) load capacitance,
 ///                          or one above kMaxSinkCap
 ///   GCR_E_DUPLICATE        two sinks at identical coordinates (strict)
 ///   GCR_E_EMPTY            no sinks
-///   GCR_E_DIE              inverted / empty / non-finite die box
+///   GCR_E_DIE              inverted / empty / non-finite die box, or one
+///                          with a bound above kMaxCoordinate in magnitude
 ///   GCR_E_MODULE_MISMATCH  rtl module count vs sinks / explicit map
 ///   GCR_E_STREAM_ID        stream instruction id outside [0, K)
 ///   GCR_E_RESOURCE         a configured Limits cap exceeded
@@ -44,6 +49,33 @@ namespace gcr::guard {
 /// the zero-skew merge then snakes by a NaN delay gap), so every reader and
 /// validator rejects a larger cap as GCR_E_CAP.
 inline constexpr double kMaxSinkCap = 1e6;
+
+/// Largest accepted coordinate magnitude [lambda] (die bounds, sinks, ECO
+/// targets): squared wire lengths times kMaxSinkCap stay finite. Checked as
+/// an error everywhere, since out-of-die is only a lenient-mode warning.
+inline constexpr double kMaxCoordinate = 1e9;
+
+/// The first finding on an input point, or nullopt: a NaN,
+/// infinite or denormal coordinate (GCR_E_NONFINITE) or one above
+/// kMaxCoordinate (GCR_E_RANGE). The message starts with `what`.
+[[nodiscard]] std::optional<Status> point_finding(const geom::Point& p,
+                                                  std::string_view what);
+
+/// The same for a sink, then its load: NaN, infinite or denormal
+/// (GCR_E_NONFINITE), not positive, or above kMaxSinkCap (GCR_E_CAP).
+[[nodiscard]] std::optional<Status> sink_finding(const ct::Sink& s,
+                                                 std::string_view what);
+
+/// What makes a die box unusable, or nullptr when nothing does: a bound
+/// that is not finite, an empty or inverted area, or a bound above
+/// kMaxCoordinate in magnitude. Each is a GCR_E_DIE finding.
+[[nodiscard]] const char* die_problem(const geom::DieArea& die);
+
+/// For each sink with finite coordinates, the index of the first sink at
+/// the same location, or SIZE_MAX when it is the first there (also for
+/// sinks with non-finite coordinates). -0.0 and 0.0 are one location.
+[[nodiscard]] std::vector<std::size_t> first_at_location(
+    const std::vector<ct::Sink>& sinks);
 
 /// Resource caps. Zero disables a cap. Defaults are far above any design
 /// in the test suite but low enough to fail fast on garbage.

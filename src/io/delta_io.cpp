@@ -83,9 +83,10 @@ std::optional<eco::DesignDelta> read_delta(std::istream& is, guard::Diag& diag,
                    lx.line_loc(i));
         continue;
       }
-      if (!guard::finite_normal(mv.to.x) || !guard::finite_normal(mv.to.y)) {
-        diag.error(Code::NonFinite,
-                   "move target is NaN, infinite or denormal", lx.line_loc(i));
+      if (std::optional<guard::Status> bad =
+              guard::point_finding(mv.to, "move target")) {
+        bad->loc = lx.line_loc(i);
+        diag.report(std::move(*bad));
         continue;
       }
       d.moves.push_back(mv);
@@ -120,22 +121,10 @@ std::optional<eco::DesignDelta> read_delta(std::istream& is, guard::Diag& diag,
                    c.loc());
         continue;
       }
-      if (!guard::finite_normal(add.sink.loc.x) ||
-          !guard::finite_normal(add.sink.loc.y) ||
-          !guard::finite_normal(add.sink.cap)) {
-        diag.error(Code::NonFinite,
-                   "added sink has a NaN, infinite or denormal field",
-                   lx.line_loc(i));
-        continue;
-      }
-      if (add.sink.cap <= 0.0) {
-        diag.error(Code::BadCap, "added sink's load cap must be positive",
-                   lx.line_loc(i));
-        continue;
-      }
-      if (add.sink.cap > guard::kMaxSinkCap) {
-        diag.error(Code::BadCap, "added sink's load cap exceeds 1e6 pF",
-                   lx.line_loc(i));
+      if (std::optional<guard::Status> bad =
+              guard::sink_finding(add.sink, "added sink")) {
+        bad->loc = lx.line_loc(i);
+        diag.report(std::move(*bad));
         continue;
       }
       if (add.module < 0) {

@@ -18,9 +18,10 @@ namespace gcr::prof {
 
 namespace {
 
-/// Registry size. When every slot is taken, a new thread reuses the slot
-/// of an exited one (its tail is lost); with none exited, it records into
-/// a private slot no reader sees.
+/// Registry size. A new thread takes over the slot of an exited one when
+/// there is one (its tail is lost), so the registry grows only to the peak
+/// number of live recording threads; past kMaxThreads of them, a new
+/// thread records into a private slot no reader sees.
 constexpr std::size_t kMaxThreads = 1024;
 /// Phase-stack frames named per thread.
 constexpr int kMaxDepth = 16;
@@ -45,7 +46,8 @@ void copy_name(char* dst, const char* src) {
 /// survive until the post-mortem dump, and readers hold raw pointers.
 struct Slot {
   std::atomic<std::uint32_t> ordinal{0};
-  std::atomic<std::uint64_t> head{0};  ///< events ever recorded
+  std::atomic<std::uint64_t> head{0};  ///< events ever recorded in the slot
+  std::atomic<std::uint64_t> base{0};  ///< head when the owner claimed it
   std::atomic<bool> retired{false};
   Event ring[kRingCapacity];
 
@@ -64,31 +66,37 @@ std::atomic<Slot*> g_slots[kMaxThreads];
 std::atomic<std::size_t> g_count{0};
 std::atomic<std::uint32_t> g_next_ordinal{1};
 
+Slot* slot_at(std::size_t i) {
+  return i < kMaxThreads ? g_slots[i].load(std::memory_order_acquire)
+                         : nullptr;
+}
+
+/// Events the slot's current owner recorded, given a `head` just read.
+std::uint64_t owner_events(const Slot& s, std::uint64_t head) {
+  const std::uint64_t base = s.base.load(std::memory_order_acquire);
+  return head > base ? head - base : 0;
+}
+
 Slot* claim_slot() {
   const std::uint32_t ordinal =
       g_next_ordinal.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t i = g_count.fetch_add(1, std::memory_order_acq_rel);
-  Slot* s = nullptr;
-  if (i < kMaxThreads) {
-    s = new Slot();
-    s->ordinal.store(ordinal, std::memory_order_relaxed);
-    g_slots[i].store(s, std::memory_order_release);
-    return s;
-  }
-  for (std::atomic<Slot*>& entry : g_slots) {
-    s = entry.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < thread_count(); ++i) {
+    Slot* s = slot_at(i);
     bool retired = true;
     if (s != nullptr &&
         s->retired.compare_exchange_strong(retired, false,
                                            std::memory_order_acq_rel)) {
       s->ordinal.store(ordinal, std::memory_order_relaxed);
       s->depth.store(0, std::memory_order_relaxed);
-      s->head.store(0, std::memory_order_release);
+      s->base.store(s->head.load(std::memory_order_relaxed),
+                    std::memory_order_release);
       return s;
     }
   }
-  s = new Slot();  // registry full of live threads: record unseen
+  Slot* s = new Slot();
   s->ordinal.store(ordinal, std::memory_order_relaxed);
+  const std::size_t i = g_count.fetch_add(1, std::memory_order_acq_rel);
+  if (i < kMaxThreads) g_slots[i].store(s, std::memory_order_release);
   return s;
 }
 
@@ -103,11 +111,6 @@ Slot& self() {
   return *t.slot;
 }
 
-Slot* slot_at(std::size_t i) {
-  return i < kMaxThreads ? g_slots[i].load(std::memory_order_acquire)
-                         : nullptr;
-}
-
 // Capture buffer, leaked so a late recorder never meets a destroyed one.
 std::atomic<bool> g_capturing{false};
 std::mutex g_capture_mu;
@@ -120,7 +123,7 @@ void record_into(Slot& s, const Event& e) {
   const std::uint64_t h = s.head.load(std::memory_order_relaxed);
   Event& slot = s.ring[h % kRingCapacity];
   slot = e;
-  slot.id = h + 1;
+  slot.id = h - s.base.load(std::memory_order_relaxed) + 1;
   slot.ts_ns = mono_ns();
   slot.thread = s.ordinal.load(std::memory_order_relaxed);
   // Release-publish so a cross-thread snapshot that observes the new head
@@ -294,9 +297,9 @@ std::vector<ThreadTail> snapshot_rings() {
     ThreadTail t;
     t.thread_ordinal = s->ordinal.load(std::memory_order_relaxed);
     t.retired = s->retired.load(std::memory_order_acquire);
-    t.recorded = head;
-    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
-    t.dropped = head - n;
+    t.recorded = owner_events(*s, head);
+    const std::uint64_t n = std::min<std::uint64_t>(t.recorded, kRingCapacity);
+    t.dropped = t.recorded - n;
     t.events.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t k = head - n; k < head; ++k)
       t.events.push_back(s->ring[k % kRingCapacity]);
@@ -334,14 +337,15 @@ bool write_flight_record_fd(int fd, bool crash) {
     const Slot* s = slot_at(i);
     if (s == nullptr) continue;
     const std::uint64_t head = s->head.load(std::memory_order_acquire);
-    if (head == 0) continue;  // never-recording threads add no signal
-    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
+    const std::uint64_t recorded = owner_events(*s, head);
+    if (recorded == 0) continue;  // never-recording threads add no signal
+    const std::uint64_t n = std::min<std::uint64_t>(recorded, kRingCapacity);
     emit(std::snprintf(
         line, sizeof line,
         "%s{\"thread\":%u,\"retired\":%s,\"dropped\":%llu,\"events\":[",
         sep, s->ordinal.load(std::memory_order_relaxed),
         s->retired.load(std::memory_order_acquire) ? "true" : "false",
-        static_cast<unsigned long long>(head - n)));
+        static_cast<unsigned long long>(recorded - n)));
     sep = ",";
     for (std::uint64_t k = head - n; k < head; ++k) {
       const Event& e = s->ring[k % kRingCapacity];

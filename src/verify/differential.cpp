@@ -1,6 +1,6 @@
 #include "verify/differential.h"
 
-#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <random>
@@ -85,22 +85,21 @@ struct Driver {
     const activity::ActivityAnalyzer& table = router.analyzer();
     const int n = d.rtl.num_modules();
 
+    // Both sides divide the same integer count by the same B or B - 1, so
+    // they must agree exactly.
     const auto diff = [&](const activity::ModuleSet& s, const char* what) {
       ++stats.activity_checks;
-      const double ts = table.signal_prob_of_modules(s);
-      const double bs = oracle.signal_prob(s);
-      if (std::abs(ts - bs) > 1e-9) {
-        fail(spec, "activity-oracle",
-             std::string("signal_prob mismatch on ") + what + ": table " +
-                 std::to_string(ts) + " vs oracle " + std::to_string(bs));
-        return;
-      }
-      const double tt = table.transition_prob_of_modules(s);
-      const double bt = oracle.transition_prob(s);
-      if (std::abs(tt - bt) > 1e-9) {
-        fail(spec, "activity-oracle",
-             std::string("transition_prob mismatch on ") + what + ": table " +
-                 std::to_string(tt) + " vs oracle " + std::to_string(bt));
+      const double table_sig = table.signal_prob_of_modules(s);
+      const double table_tr = table.transition_prob_of_modules(s);
+      const double oracle_sig = oracle.signal_prob(s);
+      const double oracle_tr = oracle.transition_prob(s);
+      if (table_sig != oracle_sig || table_tr != oracle_tr) {
+        char msg[192];
+        std::snprintf(msg, sizeof msg,
+                      "activity mismatch on %s: table P(EN) %.17g, "
+                      "P_tr(EN) %.17g vs oracle %.17g, %.17g",
+                      what, table_sig, table_tr, oracle_sig, oracle_tr);
+        fail(spec, "activity-oracle", msg);
       }
     };
 

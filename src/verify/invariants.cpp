@@ -326,8 +326,7 @@ void check_electrical(const ct::RoutedTree& tree, const tech::TechParams& tech,
 
 void check_activity(const ct::RoutedTree& tree, const gating::NodeActivity& act,
                     const activity::ActivityAnalyzer& analyzer,
-                    const std::vector<int>& leaf_module, Report& rep,
-                    const Tolerances& tol) {
+                    const std::vector<int>& leaf_module, Report& rep) {
   ++rep.checks_run;
   const int n = tree.num_nodes();
   if (static_cast<int>(act.mask.size()) != n ||
@@ -352,15 +351,15 @@ void check_activity(const ct::RoutedTree& tree, const gating::NodeActivity& act,
                          : "internal mask is not the union of its children");
       continue;
     }
+    // The cache holds the analyzer's own answers, so they agree exactly.
     const double p = analyzer.signal_prob(expect);
-    if (std::abs(act.p_en[static_cast<std::size_t>(id)] - p) > tol.abs_prob) {
+    if (act.p_en[static_cast<std::size_t>(id)] != p) {
       add(rep, Invariant::ActivityMask, id,
           act.p_en[static_cast<std::size_t>(id)], p,
           "cached P(EN) disagrees with a fresh analyzer query");
     }
     const double ptr = analyzer.transition_prob(expect);
-    if (std::abs(act.p_tr[static_cast<std::size_t>(id)] - ptr) >
-        tol.abs_prob) {
+    if (act.p_tr[static_cast<std::size_t>(id)] != ptr) {
       add(rep, Invariant::ActivityMask, id,
           act.p_tr[static_cast<std::size_t>(id)], ptr,
           "cached P_tr(EN) disagrees with a fresh analyzer query");
@@ -369,8 +368,7 @@ void check_activity(const ct::RoutedTree& tree, const gating::NodeActivity& act,
 }
 
 void check_activity_monotone(const ct::RoutedTree& tree,
-                             const gating::NodeActivity& act, Report& rep,
-                             const Tolerances& tol) {
+                             const gating::NodeActivity& act, Report& rep) {
   ++rep.checks_run;
   const int n = tree.num_nodes();
   if (static_cast<int>(act.p_en.size()) != n) {
@@ -380,13 +378,12 @@ void check_activity_monotone(const ct::RoutedTree& tree,
   }
   for (int id = 0; id < n; ++id) {
     const double p = act.p_en[static_cast<std::size_t>(id)];
-    if (p < -tol.abs_prob || p > 1.0 + tol.abs_prob) {
+    if (p < 0.0 || p > 1.0) {
       add(rep, Invariant::ActivityMonotone, id, p, 0.0,
           "P(EN) outside [0, 1]");
     }
     const int parent = tree.node(id).parent;
-    if (parent >= 0 &&
-        p > act.p_en[static_cast<std::size_t>(parent)] + tol.abs_prob) {
+    if (parent >= 0 && p > act.p_en[static_cast<std::size_t>(parent)]) {
       add(rep, Invariant::ActivityMonotone, id, p,
           act.p_en[static_cast<std::size_t>(parent)],
           "child P(EN) exceeds its parent's (enables only widen upward)");
@@ -559,8 +556,8 @@ Report verify_result(const core::GatedClockRouter& router,
   }
 
   check_activity(result.tree, result.activity, router.analyzer(),
-                 router.design().resolved_sink_modules(), rep, tol);
-  check_activity_monotone(result.tree, result.activity, rep, tol);
+                 router.design().resolved_sink_modules(), rep);
+  check_activity_monotone(result.tree, result.activity, rep);
 
   const gating::ControllerPlacement ctrl(router.design().die,
                                          opts.controller_partitions);

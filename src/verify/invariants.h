@@ -71,15 +71,15 @@ struct Violation {
 };
 
 /// Comparison tolerances. The defaults encode the contract the paper's
-/// exactness claims imply: probabilities and capacitances are sums of a few
-/// thousand doubles (tolerance ~1e-9 absolute / relative), delays compare
-/// relative to their own magnitude, geometry to placement resolution.
+/// exactness claims imply: capacitances are sums of a few thousand doubles
+/// (tolerance ~1e-9 absolute / relative), delays compare relative to their
+/// own magnitude, geometry to placement resolution. Activities have no
+/// tolerance: they are integer counts over B or B - 1 and compare exactly.
 struct Tolerances {
   double rel_delay{1e-6};   ///< skew / delay comparisons, relative
   double abs_cap{1e-9};     ///< capacitance comparisons [pF]
   double rel_swcap{1e-9};   ///< W(T)+W(S) recompute vs the evaluator
   double abs_geom{1e-6};    ///< edge length vs placed distance [lambda]
-  double abs_prob{1e-12};   ///< probability comparisons
 };
 
 struct Report {
@@ -125,20 +125,19 @@ void check_electrical(const ct::RoutedTree& tree, const tech::TechParams& tech,
                       const Tolerances& tol = {});
 
 /// Activity: leaf masks match the analyzer's module masks, internal masks
-/// are child unions, and the cached P(EN) / P_tr(EN) agree with fresh
-/// analyzer queries on the re-derived masks.
+/// are child unions, and the cached P(EN) / P_tr(EN) equal fresh analyzer
+/// queries on the re-derived masks exactly.
 void check_activity(const ct::RoutedTree& tree,
                     const gating::NodeActivity& act,
                     const activity::ActivityAnalyzer& analyzer,
-                    const std::vector<int>& leaf_module, Report& rep,
-                    const Tolerances& tol = {});
+                    const std::vector<int>& leaf_module, Report& rep);
 
 /// Monotonicity alone (no analyzer required): enables only widen towards
 /// the root, so P(EN) of a child never exceeds its parent's, and all
-/// probabilities lie in [0, 1].
+/// probabilities lie in [0, 1]. Both hold exactly: a P(EN) is an issue
+/// count over B, and a child's count never exceeds its parent's.
 void check_activity_monotone(const ct::RoutedTree& tree,
-                             const gating::NodeActivity& act, Report& rep,
-                             const Tolerances& tol = {});
+                             const gating::NodeActivity& act, Report& rep);
 
 /// Recompute W(T) and W(S) from first principles -- explicit
 /// nearest-gated-ancestor walks for enable domains, brute-force nearest

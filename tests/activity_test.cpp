@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "activity/analyzer.h"
 #include "activity/brute_force.h"
 #include "activity/ift.h"
@@ -72,30 +74,33 @@ TEST_F(PaperExampleTest, Table1RtlDescription) {
 
 TEST_F(PaperExampleTest, Table2InstructionFrequencies) {
   const Ift ift(count_stream(ex.stream, 4));
-  EXPECT_DOUBLE_EQ(ift.prob(0), 8.0 / 20.0);
-  EXPECT_DOUBLE_EQ(ift.prob(1), 7.0 / 20.0);
-  EXPECT_DOUBLE_EQ(ift.prob(2), 3.0 / 20.0);
-  EXPECT_DOUBLE_EQ(ift.prob(3), 2.0 / 20.0);
+  EXPECT_EQ(ift.length(), 20u);
+  EXPECT_EQ(ift.count(0), 8u);
+  EXPECT_EQ(ift.count(1), 7u);
+  EXPECT_EQ(ift.count(2), 3u);
+  EXPECT_EQ(ift.count(3), 2u);
+  EXPECT_EQ(ift.prob(0), 8.0 / 20.0);
+  EXPECT_EQ(ift.prob(1), 7.0 / 20.0);
+  EXPECT_EQ(ift.prob(2), 3.0 / 20.0);
+  EXPECT_EQ(ift.prob(3), 2.0 / 20.0);
 }
 
 TEST_F(PaperExampleTest, QuotedModule1Probability) {
   // Paper: M1 appears in I1 and I2, which execute 15 of 20 cycles -> 0.75.
   const BruteForceActivity bf(ex.rtl, ex.stream);
-  EXPECT_DOUBLE_EQ(bf.module_prob(0), 0.75);
+  EXPECT_EQ(bf.module_prob(0), 0.75);
 }
 
 TEST_F(PaperExampleTest, QuotedEnableSignalProbability) {
   // Paper: P(EN{M5,M6}) = P(I1) + P(I3) = 11/20 = 0.55.
-  const Ift ift(count_stream(ex.stream, 4));
-  const ModuleSet s = modules(6, {4, 5});
-  EXPECT_DOUBLE_EQ(ift.signal_prob(ex.rtl, s), 0.55);
+  const ActivityAnalyzer an(ex.rtl, ex.stream);
+  EXPECT_EQ(an.signal_prob_of_modules(modules(6, {4, 5})), 11.0 / 20.0);
 }
 
 TEST_F(PaperExampleTest, QuotedEnableTransitionProbability) {
   // The reconstructed stream toggles EN{M5,M6} 11 times over 19 pairs.
-  const Imatt imatt(count_stream(ex.stream, 4));
-  const ModuleSet s = modules(6, {4, 5});
-  EXPECT_NEAR(imatt.transition_prob(ex.rtl, s), 11.0 / 19.0, 1e-12);
+  const ActivityAnalyzer an(ex.rtl, ex.stream);
+  EXPECT_EQ(an.transition_prob_of_modules(modules(6, {4, 5})), 11.0 / 19.0);
 }
 
 TEST_F(PaperExampleTest, TableDrivenMatchesBruteForceOnAllPairs) {
@@ -104,18 +109,18 @@ TEST_F(PaperExampleTest, TableDrivenMatchesBruteForceOnAllPairs) {
   for (int a = 0; a < 6; ++a) {
     for (int b = 0; b < 6; ++b) {
       const ModuleSet s = modules(6, {a, b});
-      EXPECT_NEAR(an.signal_prob_of_modules(s), bf.signal_prob(s), 1e-12);
-      EXPECT_NEAR(an.transition_prob_of_modules(s), bf.transition_prob(s),
-                  1e-12);
+      EXPECT_EQ(an.signal_prob_of_modules(s), bf.signal_prob(s));
+      EXPECT_EQ(an.transition_prob_of_modules(s), bf.transition_prob(s));
     }
   }
 }
 
-TEST_F(PaperExampleTest, ImattRowsSumToOne) {
+TEST_F(PaperExampleTest, ImattRowsCountEveryPair) {
   const Imatt imatt(count_stream(ex.stream, 4));
-  double total = 0.0;
-  for (const ImattRow& row : imatt.rows()) total += row.prob;
-  EXPECT_NEAR(total, 1.0, 1e-12);
+  std::uint64_t total = 0;
+  for (const ImattRow& row : imatt.rows()) total += row.count;
+  EXPECT_EQ(imatt.num_pairs(), 19u);
+  EXPECT_EQ(total, 19u);
 }
 
 TEST_F(PaperExampleTest, Table3ImattRowsAndActivationTags) {
@@ -144,7 +149,8 @@ TEST_F(PaperExampleTest, Table3ImattRowsAndActivationTags) {
     const ImattRow& row = imatt.rows()[i];
     EXPECT_EQ(row.cur, want[i].cur) << "row " << i;
     EXPECT_EQ(row.nxt, want[i].nxt) << "row " << i;
-    EXPECT_NEAR(row.prob * 19.0, want[i].count, 1e-12) << "row " << i;
+    EXPECT_EQ(row.count, static_cast<std::uint64_t>(want[i].count))
+        << "row " << i;
     for (int m = 0; m < 6; ++m) {
       EXPECT_STREQ(tag_names[Imatt::activation_tag(ex.rtl, row, m)],
                    want[i].tags[m])
@@ -157,7 +163,7 @@ TEST_F(PaperExampleTest, ImattActivationTags) {
   const Imatt imatt(count_stream(ex.stream, 4));
   // For the pair (I1, I2): M1 used by both -> tag 11b; M5 used only by I1
   // -> tag 10b; M4 used only by I2 -> tag 01b; M6 by neither -> 00b.
-  const ImattRow row{0, 1, 0.0};
+  const ImattRow row{0, 1, 0};
   EXPECT_EQ(Imatt::activation_tag(ex.rtl, row, 0), 0b11);
   EXPECT_EQ(Imatt::activation_tag(ex.rtl, row, 4), 0b10);
   EXPECT_EQ(Imatt::activation_tag(ex.rtl, row, 3), 0b01);
@@ -166,30 +172,31 @@ TEST_F(PaperExampleTest, ImattActivationTags) {
 
 // ------------------------------------------------------------ Ift/Imatt ---
 
-TEST(Ift, ProbabilitiesSumToOne) {
+TEST(Ift, CountsSumToTheStreamLength) {
   InstructionStream s{{0, 1, 2, 1, 0, 0, 3}};
   const Ift ift(count_stream(s, 4));
-  double total = 0.0;
-  for (const double p : ift.probs()) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(ift.prob(0), 3.0 / 7.0);
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : ift.counts()) total += c;
+  EXPECT_EQ(total, 7u);
+  EXPECT_EQ(ift.prob(0), 3.0 / 7.0);
 }
 
 TEST(Ift, EmptyStreamGivesZeros) {
   InstructionStream s;
   const Ift ift(count_stream(s, 3));
-  EXPECT_DOUBLE_EQ(ift.prob(0), 0.0);
-  EXPECT_DOUBLE_EQ(ift.prob(2), 0.0);
+  EXPECT_EQ(ift.prob(0), 0.0);
+  EXPECT_EQ(ift.prob(2), 0.0);
 }
 
 TEST(Imatt, PairProbCounts) {
   InstructionStream s{{0, 1, 0, 1, 1}};
   const Imatt imatt(count_stream(s, 2));
   // Pairs: (0,1) (1,0) (0,1) (1,1) over 4 pairs.
-  EXPECT_DOUBLE_EQ(imatt.pair_prob(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(imatt.pair_prob(1, 0), 0.25);
-  EXPECT_DOUBLE_EQ(imatt.pair_prob(1, 1), 0.25);
-  EXPECT_DOUBLE_EQ(imatt.pair_prob(0, 0), 0.0);
+  EXPECT_EQ(imatt.pair_count(0, 1), 2u);
+  EXPECT_EQ(imatt.pair_prob(0, 1), 0.5);
+  EXPECT_EQ(imatt.pair_prob(1, 0), 0.25);
+  EXPECT_EQ(imatt.pair_prob(1, 1), 0.25);
+  EXPECT_EQ(imatt.pair_prob(0, 0), 0.0);
 }
 
 TEST(Imatt, SingleInstructionStreamHasNoRows) {
@@ -202,8 +209,8 @@ TEST(Analyzer, EmptyMaskHasZeroProbabilities) {
   const auto ex = benchdata::paper_example();
   const ActivityAnalyzer an(ex.rtl, ex.stream);
   const ActivationMask empty(4);
-  EXPECT_DOUBLE_EQ(an.signal_prob(empty), 0.0);
-  EXPECT_DOUBLE_EQ(an.transition_prob(empty), 0.0);
+  EXPECT_EQ(an.signal_prob(empty), 0.0);
+  EXPECT_EQ(an.transition_prob(empty), 0.0);
 }
 
 TEST(Analyzer, FullMaskIsAlwaysOn) {
@@ -211,8 +218,8 @@ TEST(Analyzer, FullMaskIsAlwaysOn) {
   const ActivityAnalyzer an(ex.rtl, ex.stream);
   ActivationMask all(4);
   for (int i = 0; i < 4; ++i) all.set(i);
-  EXPECT_NEAR(an.signal_prob(all), 1.0, 1e-12);
-  EXPECT_NEAR(an.transition_prob(all), 0.0, 1e-12);
+  EXPECT_EQ(an.signal_prob(all), 1.0);
+  EXPECT_EQ(an.transition_prob(all), 0.0);
 }
 
 TEST(Analyzer, SignalProbMonotoneUnderUnion) {
@@ -223,7 +230,7 @@ TEST(Analyzer, SignalProbMonotoneUnderUnion) {
       const double pa = an.signal_prob(an.module_mask(a));
       const double pu =
           an.signal_prob(an.module_mask(a) | an.module_mask(b));
-      EXPECT_GE(pu + 1e-12, pa);
+      EXPECT_GE(pu, pa);
     }
   }
 }
@@ -237,9 +244,8 @@ TEST(Rtl, MeanUsageFraction) {
 TEST(Ift, AverageActivityWeightsByFrequency) {
   const auto ex = benchdata::paper_example();
   const Ift ift(count_stream(ex.stream, 4));
-  // sum P(I)|M(I)|/N = (.4*4 + .35*2 + .15*3 + .1*2)/6.
-  EXPECT_NEAR(ift.average_activity(ex.rtl),
-              (0.4 * 4 + 0.35 * 2 + 0.15 * 3 + 0.1 * 2) / 6.0, 1e-12);
+  // sum count(I)|M(I)| / (B N) = (8*4 + 7*2 + 3*3 + 2*2) / (20*6).
+  EXPECT_EQ(ift.average_activity(ex.rtl), 59.0 / 120.0);
 }
 
 }  // namespace

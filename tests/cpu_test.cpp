@@ -219,7 +219,7 @@ TEST(Bridge, TraceDrivesActivityEngine) {
       plan.unit_sinks[static_cast<int>(Unit::Fetch)].front();
   const int div_sink =
       plan.unit_sinks[static_cast<int>(Unit::Divider)].front();
-  EXPECT_NEAR(an.signal_prob(an.module_mask(fetch_sink)), 1.0, 1e-12);
+  EXPECT_EQ(an.signal_prob(an.module_mask(fetch_sink)), 1.0);
   const double p_div = an.signal_prob(an.module_mask(div_sink));
   EXPECT_GT(p_div, 0.0);
   EXPECT_LT(p_div, 0.2);

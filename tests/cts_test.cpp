@@ -57,7 +57,7 @@ TEST(Greedy, SwitchedCapacitanceBuildsValidTopologyWithActivity) {
   // Root enable probability covers every leaf's.
   const double root_p = r.p_en[static_cast<std::size_t>(r.topo.root())];
   for (int i = 0; i < 40; ++i)
-    EXPECT_GE(root_p + 1e-12, r.p_en[static_cast<std::size_t>(i)]);
+    EXPECT_GE(root_p, r.p_en[static_cast<std::size_t>(i)]);
   // Masks union upward: parent mask contains child masks.
   for (int id = 0; id < r.topo.num_nodes(); ++id) {
     const ct::TreeNode& n = r.topo.node(id);

@@ -8,6 +8,7 @@
 #include "core/router.h"
 #include "eco/delta.h"
 #include "eco/incremental.h"
+#include "guard/validate.h"
 #include "guard/deadline.h"
 #include "guard/status.h"
 #include "verify/differential.h"
@@ -112,6 +113,29 @@ TEST(EcoDelta, OutOfDieMoveIsAWarningNotAnError) {
   EXPECT_TRUE(eco::validate_delta(router.design(), d, diag));
   EXPECT_FALSE(diag.has_errors());
   EXPECT_FALSE(diag.entries().empty());  // the OutOfDie warning
+}
+
+TEST(EcoDelta, CoordinateAboveTheMaximumIsAnError) {
+  // Out-of-die is only a warning, so the magnitude limit is checked on its
+  // own: past it, squared wire lengths overflow the Elmore terms.
+  const core::GatedClockRouter router = make_router(4, 33);
+  guard::Diag move_diag;
+  eco::DesignDelta far_move;
+  far_move.moves.push_back({0, {1e200, 1e200}});
+  EXPECT_FALSE(eco::validate_delta(router.design(), far_move, move_diag));
+  EXPECT_TRUE(has_error(move_diag, guard::Code::Range));
+
+  guard::Diag add_diag;
+  eco::DesignDelta far_add;
+  far_add.adds.push_back({{{-1e200, 10.0}, 0.01}, 0});
+  EXPECT_FALSE(eco::validate_delta(router.design(), far_add, add_diag));
+  EXPECT_TRUE(has_error(add_diag, guard::Code::Range));
+
+  guard::Diag at_max;
+  eco::DesignDelta max_move;
+  const double max = guard::kMaxCoordinate;
+  max_move.moves.push_back({0, {max, -max}});
+  EXPECT_TRUE(eco::validate_delta(router.design(), max_move, at_max));
 }
 
 TEST(EcoDelta, SinkIndexMapCompactsSurvivors) {

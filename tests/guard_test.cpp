@@ -494,6 +494,32 @@ TEST(GuardValidate, CapAboveTheMaximumIsAlwaysAnError) {
   EXPECT_TRUE(guard::validate_design(d, at_max, opts));
 }
 
+TEST(GuardValidate, CoordinateAboveTheMaximumIsAlwaysAnError) {
+  // Out-of-die is only a lenient-mode warning, but a coordinate past
+  // kMaxCoordinate overflows squared wire lengths, so it is an error in
+  // both modes; so is a die bound past it.
+  guard::ValidateOptions lenient;
+  lenient.strict = false;
+  core::Design d = small_design();
+  d.sinks[2].loc = {1e200, 1e200};
+  guard::Diag sink_diag;
+  EXPECT_FALSE(guard::validate_design(d, sink_diag, lenient));
+  EXPECT_TRUE(sink_diag.has_code(Code::Range));
+  EXPECT_FALSE(sink_diag.has_code(Code::OutOfDie));
+
+  d = small_design();
+  d.die.xhi = 1e300;
+  guard::Diag die_diag;
+  EXPECT_FALSE(guard::validate_design(d, die_diag, lenient));
+  EXPECT_TRUE(die_diag.has_code(Code::DieArea));
+
+  d = small_design();
+  d.sinks[2].loc = {-guard::kMaxCoordinate, guard::kMaxCoordinate};
+  guard::Diag at_max;
+  EXPECT_TRUE(guard::validate_design(d, at_max, lenient));
+  EXPECT_FALSE(at_max.has_code(Code::Range));
+}
+
 TEST(GuardValidate, RejectsStreamIdOutOfRange) {
   core::Design d = small_design();
   d.stream.seq.push_back(d.rtl.num_instructions() + 3);

@@ -67,12 +67,11 @@ TEST_F(Integration, EvaluatorProbabilitiesMatchStreamOracle) {
     }
   }
   for (const int id : {0, kSinks / 2, kSinks, n - 2, n - 1}) {
-    EXPECT_NEAR(r.activity.p_en[static_cast<std::size_t>(id)],
-                oracle.signal_prob(mods[static_cast<std::size_t>(id)]), 1e-9)
+    EXPECT_EQ(r.activity.p_en[static_cast<std::size_t>(id)],
+              oracle.signal_prob(mods[static_cast<std::size_t>(id)]))
         << "node " << id;
-    EXPECT_NEAR(r.activity.p_tr[static_cast<std::size_t>(id)],
-                oracle.transition_prob(mods[static_cast<std::size_t>(id)]),
-                1e-9)
+    EXPECT_EQ(r.activity.p_tr[static_cast<std::size_t>(id)],
+              oracle.transition_prob(mods[static_cast<std::size_t>(id)]))
         << "node " << id;
   }
 }

@@ -41,6 +41,44 @@ TEST(TextIo, SinksRejectsMissingHeader) {
   EXPECT_THROW(read_sinks(ss), std::runtime_error);
 }
 
+TEST(TextIo, SinksDuplicateFindingsKeepTheirLineAndOrder) {
+  // A three-way duplicate (lines 3, 6 and 10, all outside the die, so each
+  // copy has a finding before its duplicate one), a 0 / -0 pair (lines 4
+  // and 9) and two rejected lines between them. Every copy names the line
+  // of the first sink there, and the findings keep line order (pinned to
+  // the output of the reader's earlier map-based finder).
+  std::istringstream is(
+      "die 0 0 10 10\n"
+      "# x y cap\n"
+      "12 3 0.01\n"
+      "0 4 0.01\n"
+      "1 2\n"
+      "12 3 0.02\n"
+      "nan 1 0.01\n"
+      "5 5 0.01\n"
+      "-0 4 0.01\n"
+      "12 3 0.03\n");
+  guard::Diag diag;
+  EXPECT_FALSE(read_sinks(is, diag, "dup.sinks").has_value());
+  std::vector<std::string> got;
+  for (const guard::Status& s : diag.entries()) got.push_back(s.to_string());
+  const std::vector<std::string> want = {
+      "dup.sinks:3:1: error GCR_E_OUT_OF_DIE: sink lies outside the die area",
+      "dup.sinks:5:4: error GCR_E_PARSE: malformed sink line (need 'x y cap')",
+      "dup.sinks:6:1: error GCR_E_OUT_OF_DIE: sink lies outside the die area",
+      "dup.sinks:6:1: error GCR_E_DUPLICATE: duplicate sink coordinate (first "
+      "at line 3)",
+      "dup.sinks:7:1: error GCR_E_NONFINITE: sink coordinate is NaN, infinite "
+      "or denormal",
+      "dup.sinks:9:1: error GCR_E_DUPLICATE: duplicate sink coordinate (first "
+      "at line 4)",
+      "dup.sinks:10:1: error GCR_E_OUT_OF_DIE: sink lies outside the die area",
+      "dup.sinks:10:1: error GCR_E_DUPLICATE: duplicate sink coordinate (first "
+      "at line 3)",
+  };
+  EXPECT_EQ(got, want) << ::testing::PrintToString(got);
+}
+
 TEST(TextIo, StreamRoundTrip) {
   const auto ex = benchdata::paper_example();
   std::stringstream ss;

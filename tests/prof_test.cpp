@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -88,13 +90,17 @@ TEST(FlightRec, ConcurrentWritersKeepPerThreadConsistency) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 5000;
   const std::uint64_t before = prof::total_recorded();
+  // No writer exits before all have recorded: a thread that starts after
+  // another has exited takes over its slot, and its ring with it.
+  std::latch recorded(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([t] {
+    threads.emplace_back([t, &recorded] {
       for (std::uint64_t i = 0; i < kPerThread; ++i)
         prof::record(prof::Ev::Mark, "concurrent", t,
                      static_cast<std::int64_t>(i));
+      recorded.arrive_and_wait();
     });
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(prof::total_recorded() - before, kThreads * kPerThread);
@@ -149,6 +155,22 @@ TEST(FlightRec, FdWriterEscapesAndAccountsEveryTail) {
   EXPECT_FALSE(obs::json::parse(flight_record_via_fd(false))
                    ->find("crash")
                    ->as_bool());
+}
+
+// Each clustered route at width 4 spawns three lanes, and each lane takes
+// over a slot that an earlier lane retired, so the registry stays at the
+// peak number of live recording threads (this one plus three lanes).
+TEST(FlightRec, ClusteredRoutesReuseRetiredSlots) {
+  verify::DesignSpec spec = verify::random_spec(5);
+  spec.num_sinks = 400;
+  const core::GatedClockRouter router(verify::generate_design(spec));
+  core::RouterOptions opts;
+  opts.clustered = true;
+  opts.num_threads = 4;
+  prof::record(prof::Ev::Mark, "slots");  // this thread holds a slot
+  const std::size_t before = prof::thread_count();
+  for (int i = 0; i < 50; ++i) (void)router.route(opts);
+  EXPECT_LE(prof::thread_count(), std::max<std::size_t>(before, 4) + 1);
 }
 
 TEST(FlightRec, ZeroDeadlineRouteDumpsExpiryTail) {
@@ -259,33 +281,40 @@ TEST(WorkerTrace, SpawnedLaneMergeEventsReachTheSessionSink) {
   (void)router.route(opts);
   trace.stop();
 
-  // 128 sinks make a 2x2 grid, so lane 1 builds cell 1 on a spawned
-  // thread: a merge recorded off the caller is certain. Take that thread's
-  // last merge, which its ring tail still holds.
+  // 128 sinks make a 2x2 grid, so lanes 1-3 build cells on spawned
+  // threads: merges recorded off the caller are certain. A lane that exits
+  // before a later one starts hands its slot over, so take the last merge
+  // of a lane whose ring tail still holds it (the last lane to start keeps
+  // its own).
   const std::uint32_t caller = prof::thread_ordinal();
   const std::vector<prof::Event> events = trace.events();
-  const prof::Event* lane = nullptr;
+  std::map<std::uint32_t, const prof::Event*> last_merge;
   for (const prof::Event& e : events)
-    if (e.kind == prof::Ev::Merge && e.thread != caller &&
-        (lane == nullptr || e.thread == lane->thread))
-      lane = &e;
-  ASSERT_NE(lane, nullptr) << "no spawned lane recorded a captured merge";
+    if (e.kind == prof::Ev::Merge && e.thread != caller)
+      last_merge[e.thread] = &e;
+  ASSERT_FALSE(last_merge.empty()) << "no spawned lane recorded a merge";
 
   // One ordinal per thread: the lane's merge names the same thread in the
   // flight record (its ring tail) and in the Chrome trace.
   const std::optional<obs::json::Value> record =
       obs::json::parse(flight_record_via_fd(false));
   ASSERT_TRUE(record.has_value());
-  std::set<double> ring_threads;
-  for (const obs::json::Value& th : record->find("threads")->as_array())
-    for (const obs::json::Value& e : th.find("events")->as_array())
-      if (e.find("kind")->as_string() == "merge" &&
-          e.number_or("id", 0) == static_cast<double>(lane->id) &&
-          e.number_or("a", -1) == static_cast<double>(lane->a) &&
-          e.number_or("b", -1) == static_cast<double>(lane->b) &&
-          e.number_or("x", -1) == lane->x)
-        ring_threads.insert(th.number_or("thread", -1));
-  EXPECT_EQ(ring_threads, std::set<double>{static_cast<double>(lane->thread)});
+  const prof::Event* lane = nullptr;
+  for (const auto& [thread, merge] : last_merge) {
+    std::set<double> ring_threads;
+    for (const obs::json::Value& th : record->find("threads")->as_array())
+      for (const obs::json::Value& e : th.find("events")->as_array())
+        if (e.find("kind")->as_string() == "merge" &&
+            e.number_or("id", 0) == static_cast<double>(merge->id) &&
+            e.number_or("a", -1) == static_cast<double>(merge->a) &&
+            e.number_or("b", -1) == static_cast<double>(merge->b) &&
+            e.number_or("x", -1) == merge->x)
+          ring_threads.insert(th.number_or("thread", -1));
+    if (ring_threads.empty()) continue;  // its slot went to a later lane
+    EXPECT_EQ(ring_threads, std::set<double>{static_cast<double>(thread)});
+    lane = merge;
+  }
+  ASSERT_NE(lane, nullptr) << "no spawned lane's ring tail survived";
 
   std::ostringstream os;
   trace.write_chrome_json(os);

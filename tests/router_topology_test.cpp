@@ -37,7 +37,7 @@ TEST_P(TopologySchemes, RoutesWithZeroSkewAndValidActivity) {
               1.0, 0.5);  // root enable prob is high but sane
   for (const double p : r.activity.p_en) {
     EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0 + 1e-12);
+    EXPECT_LE(p, 1.0);
   }
 }
 

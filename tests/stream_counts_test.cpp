@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "activity/analyzer.h"
+#include "activity/brute_force.h"
 #include "activity/counts.h"
 #include "activity/ift.h"
 #include "activity/imatt.h"
@@ -16,38 +17,32 @@
 
 /// \file stream_counts_test.cpp
 /// The IFT and IMATT are built from one count of the stream
-/// (activity/counts.h). These tests hold the counted tables to the
-/// per-cycle loops they replaced, bit for bit (EXPECT_EQ on doubles), and
-/// hold the count's out-of-range summary to a plain scan -- including the
-/// router, which validates from its analyzer's summary instead of
-/// rescanning the stream.
+/// (activity/counts.h). These tests hold the counted tables to a plain
+/// per-cycle integer count (EXPECT_EQ on counts, and on every probability
+/// as one division of a count), and hold the count's out-of-range summary
+/// to a plain scan -- including the router, which validates from its
+/// analyzer's summary instead of rescanning the stream.
 
 namespace gcr::activity {
 namespace {
 
-// The sequential table loops the count pass replaced, kept as the oracle.
+/// The oracle: issue counts and consecutive-pair counts, one cycle at a
+/// time.
+struct PlainCounts {
+  std::vector<std::uint64_t> instr;
+  std::vector<std::uint64_t> pairs;  ///< K*K, [cur * K + nxt]
+};
 
-std::vector<double> oracle_ift(const InstructionStream& stream, int k) {
-  std::vector<double> probs(static_cast<std::size_t>(k), 0.0);
-  if (stream.seq.empty()) return probs;
-  for (const InstrId i : stream.seq)
-    probs.at(static_cast<std::size_t>(i)) += 1.0;
-  const double inv = 1.0 / static_cast<double>(stream.seq.size());
-  for (double& p : probs) p *= inv;
-  return probs;
-}
-
-std::vector<double> oracle_imatt(const InstructionStream& stream, int k) {
-  std::vector<double> dense(static_cast<std::size_t>(k) * k, 0.0);
-  const int pairs = stream.length() - 1;
-  if (pairs <= 0) return dense;
-  const double inv = 1.0 / static_cast<double>(pairs);
-  for (int t = 0; t + 1 < stream.length(); ++t) {
-    const InstrId a = stream.seq[static_cast<std::size_t>(t)];
-    const InstrId b = stream.seq[static_cast<std::size_t>(t) + 1];
-    dense[static_cast<std::size_t>(a) * k + b] += inv;
+PlainCounts plain_counts(const InstructionStream& stream, int k) {
+  PlainCounts c{std::vector<std::uint64_t>(static_cast<std::size_t>(k), 0),
+                std::vector<std::uint64_t>(static_cast<std::size_t>(k) * k, 0)};
+  for (std::size_t t = 0; t < stream.seq.size(); ++t) {
+    ++c.instr.at(static_cast<std::size_t>(stream.seq[t]));
+    if (t > 0)
+      ++c.pairs.at(static_cast<std::size_t>(stream.seq[t - 1]) * k +
+                   stream.seq[t]);
   }
-  return dense;
+  return c;
 }
 
 enum class Shape { Uniform, Local, Constant };
@@ -77,38 +72,47 @@ void expect_tables_exact(const InstructionStream& s, int k) {
   const StreamCounts counts = count_stream(s, k);
   EXPECT_EQ(counts.length, s.length());
   EXPECT_EQ(counts.ids.bad, 0);
+  const PlainCounts want = plain_counts(s, k);
+  const auto b = static_cast<double>(s.length());
 
   const Ift ift(counts);
-  const std::vector<double> want_ift = oracle_ift(s, k);
   ASSERT_EQ(ift.num_instructions(), k);
-  for (InstrId i = 0; i < k; ++i) EXPECT_EQ(ift.prob(i), want_ift[i]) << i;
+  EXPECT_EQ(ift.length(), static_cast<std::uint64_t>(s.length()));
+  for (InstrId i = 0; i < k; ++i) {
+    EXPECT_EQ(ift.count(i), want.instr[static_cast<std::size_t>(i)]) << i;
+    EXPECT_EQ(ift.prob(i),
+              s.length() == 0 ? 0.0 : ift.count(i) / b) << i;
+  }
 
   const Imatt imatt(counts);
-  const std::vector<double> want = oracle_imatt(s, k);
+  EXPECT_EQ(imatt.num_pairs(),
+            s.length() < 2 ? 0u : static_cast<std::uint64_t>(s.length()) - 1);
   std::size_t nonzero = 0;
   for (InstrId a = 0; a < k; ++a) {
-    for (InstrId b = 0; b < k; ++b) {
-      const double p = want[static_cast<std::size_t>(a) * k + b];
-      EXPECT_EQ(imatt.pair_prob(a, b), p) << a << "->" << b;
-      if (p > 0.0) ++nonzero;
+    for (InstrId bi = 0; bi < k; ++bi) {
+      const std::uint64_t c = want.pairs[static_cast<std::size_t>(a) * k + bi];
+      EXPECT_EQ(imatt.pair_count(a, bi), c) << a << "->" << bi;
+      EXPECT_EQ(imatt.pair_prob(a, bi), c == 0 ? 0.0 : c / (b - 1.0))
+          << a << "->" << bi;
+      if (c > 0) ++nonzero;
     }
   }
-  // Rows: the observed pairs in row-major order, with the same values.
+  // Rows: the observed pairs in row-major order, with the same counts.
   ASSERT_EQ(imatt.rows().size(), nonzero);
   std::size_t r = 0;
   for (InstrId a = 0; a < k; ++a) {
-    for (InstrId b = 0; b < k; ++b) {
-      const double p = want[static_cast<std::size_t>(a) * k + b];
-      if (p == 0.0) continue;
+    for (InstrId bi = 0; bi < k; ++bi) {
+      const std::uint64_t c = want.pairs[static_cast<std::size_t>(a) * k + bi];
+      if (c == 0) continue;
       const ImattRow& row = imatt.rows()[r++];
       EXPECT_EQ(row.cur, a);
-      EXPECT_EQ(row.nxt, b);
-      EXPECT_EQ(row.prob, p);
+      EXPECT_EQ(row.nxt, bi);
+      EXPECT_EQ(row.count, c);
     }
   }
 }
 
-TEST(StreamCounts, TablesEqualSequentialLoopsBitForBit) {
+TEST(StreamCounts, TablesEqualPlainIntegerCounts) {
   std::uint64_t seed = 1;
   const Shape shapes[] = {Shape::Uniform, Shape::Local, Shape::Constant};
   for (const int k : {1, 2, 64, 128}) {
@@ -120,6 +124,38 @@ TEST(StreamCounts, TablesEqualSequentialLoopsBitForBit) {
       }
     }
   }
+}
+
+// Adding 1/(B-1) once per occurrence -- how the IMATT used to be summed --
+// is not count/(B-1) in the last bit: with 1000 pairs, ten additions of
+// 0.001 give 0.010000000000000002, not 0.01. The tables and the analyzer
+// divide the count once, as the brute-force rescan does.
+TEST(StreamCounts, PairProbabilityIsOneDivisionOfTheCount) {
+  InstructionStream s;
+  for (int t = 0; t < 1001; ++t) s.seq.push_back(t < 20 ? t % 2 : 2);
+  // Pairs (0,1) x10, (1,0) x9, (1,2) x1, (2,2) x980 over 1000 pairs.
+  double summed = 0.0;
+  for (int i = 0; i < 10; ++i) summed += 1.0 / 1000.0;
+  ASSERT_NE(summed, 10.0 / 1000.0);
+
+  const Imatt imatt(count_stream(s, 3));
+  EXPECT_EQ(imatt.pair_count(0, 1), 10u);
+  EXPECT_EQ(imatt.pair_prob(0, 1), 10.0 / 1000.0);
+
+  // Instruction 0 alone clocks module 0: its enable toggles on every
+  // (0,1) and (1,0) pair, 19 times.
+  RtlDescription rtl(3, 2);
+  rtl.add_use(0, 0);
+  rtl.add_use(1, 1);
+  rtl.add_use(2, 1);
+  const ActivityAnalyzer an(rtl, s);
+  const BruteForceActivity bf(rtl, s);
+  ModuleSet m0(2);
+  m0.set(0);
+  EXPECT_EQ(an.transition_prob_of_modules(m0), 19.0 / 1000.0);
+  EXPECT_EQ(bf.transition_prob(m0), 19.0 / 1000.0);
+  EXPECT_EQ(an.signal_prob_of_modules(m0), 10.0 / 1001.0);
+  EXPECT_EQ(bf.signal_prob(m0), 10.0 / 1001.0);
 }
 
 TEST(StreamCounts, CountsOneIssueAndOnePairPerCycle) {

@@ -135,9 +135,7 @@ void register_activity(Groups& g, bool quick) {
                               wl->rtl, wl->stream);
                           activity::ActivationMask mask(k);
                           for (int i = 0; i < k; i += 2) mask.set(i);
-                          // wl stays captured: the analyzer references its
-                          // rtl rather than copying it.
-                          return [wl, an, mask, transition] {
+                          return [an, mask, transition] {
                             perf::do_not_optimize(
                                 transition ? an->transition_prob(mask)
                                            : an->signal_prob(mask));

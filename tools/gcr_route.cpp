@@ -198,6 +198,21 @@ std::optional<Args> parse(int argc, char** argv) {
   return a;
 }
 
+/// Writes `path` through `write(std::ostream&)`; throws GCR_E_IO (exit 2)
+/// when the file cannot be opened or the write does not complete.
+template <typename Write>
+void write_file(const std::string& path, Write&& write) {
+  std::ofstream os(path);
+  if (!os)
+    throw guard::GuardError(
+        guard::make_error(guard::Code::Io, "cannot open " + path));
+  write(os);
+  os.close();
+  if (!os)
+    throw guard::GuardError(
+        guard::make_error(guard::Code::Io, "cannot write " + path));
+}
+
 int write_demo(const std::string& dir) {
   benchdata::RBenchSpec spec{"demo", 64, 10000.0, 0.005, 0.06, 11};
   const benchdata::RBench rb = benchdata::generate_rbench(spec);
@@ -209,12 +224,12 @@ int write_demo(const std::string& dir) {
   const benchdata::Workload wl =
       benchdata::generate_workload(wspec, rb.sinks, rb.die);
 
-  std::ofstream sf(dir + "/demo.sinks");
-  io::write_sinks(sf, rb.die, rb.sinks);
-  std::ofstream rf(dir + "/demo.rtl");
-  io::write_rtl(rf, wl.rtl);
-  std::ofstream tf(dir + "/demo.stream");
-  io::write_stream(tf, wl.stream);
+  write_file(dir + "/demo.sinks",
+             [&](std::ostream& os) { io::write_sinks(os, rb.die, rb.sinks); });
+  write_file(dir + "/demo.rtl",
+             [&](std::ostream& os) { io::write_rtl(os, wl.rtl); });
+  write_file(dir + "/demo.stream",
+             [&](std::ostream& os) { io::write_stream(os, wl.stream); });
   std::cout << "wrote " << dir << "/demo.{sinks,rtl,stream}\n"
             << "try: gcr_route --sinks " << dir << "/demo.sinks --rtl " << dir
             << "/demo.rtl --stream " << dir << "/demo.stream --auto-tune\n";
@@ -230,8 +245,8 @@ int main(int argc, char** argv) {
     return guard::kExitUsage;
   }
   const Args& a = *parsed;
-  if (!a.demo_dir.empty()) return write_demo(a.demo_dir);
-  if (a.sinks.empty() || a.rtl.empty() || a.stream.empty()) {
+  if (a.demo_dir.empty() &&
+      (a.sinks.empty() || a.rtl.empty() || a.stream.empty())) {
     usage();
     return guard::kExitUsage;
   }
@@ -243,6 +258,7 @@ int main(int argc, char** argv) {
   log::TelemetryEmitter telemetry;  // declared after the logger: stops first
 
   try {
+    if (!a.demo_dir.empty()) return write_demo(a.demo_dir);
     // Observability: bind a session before the inputs are read so the
     // phase tree covers parse, validation, routing and the tree write.
     const bool observed = !a.report.empty() || !a.trace.empty() ||
@@ -402,36 +418,28 @@ int main(int argc, char** argv) {
     // Written before the reports so its phase is in them.
     if (!a.tree_out.empty()) {
       const obs::ScopedTimer write_timer("io.write");
-      std::ofstream os(a.tree_out);
-      io::write_routed_tree(os, r.tree);
+      write_file(a.tree_out,
+                 [&](std::ostream& os) { io::write_routed_tree(os, r.tree); });
     }
     if (!a.report.empty()) {
-      std::ofstream os(a.report);
-      if (!os)
-        throw guard::GuardError(
-            guard::make_error(guard::Code::Io, "cannot open " + a.report));
-      obs::write_run_report(os, opts, r, session);
+      write_file(a.report, [&](std::ostream& os) {
+        obs::write_run_report(os, opts, r, session);
+      });
     }
     if (!a.trace.empty()) {
-      std::ofstream os(a.trace);
-      if (!os)
-        throw guard::GuardError(
-            guard::make_error(guard::Code::Io, "cannot open " + a.trace));
       trace->stop();
-      trace->write_chrome_json(os);
+      write_file(a.trace,
+                 [&](std::ostream& os) { trace->write_chrome_json(os); });
     }
     if (!a.profile.empty()) {
       const prof::Sampler::Profile p = sampler.stop();
-      std::ofstream os(a.profile);
-      if (!os)
-        throw guard::GuardError(
-            guard::make_error(guard::Code::Io, "cannot open " + a.profile));
       prof::ProfileReportOptions po;
       po.tool = "gcr_route";
       po.profile = &p;
       po.session = &session;
       po.hw = hw;
-      prof::write_profile_report(os, po);
+      write_file(a.profile,
+                 [&](std::ostream& os) { prof::write_profile_report(os, po); });
       prof::disable_hw_counters();
     }
     if (a.verbose || a.mem_stats) obs::print_run_summary(std::cerr, session);
@@ -476,10 +484,11 @@ int main(int argc, char** argv) {
     if (a.csv) t.print_csv(std::cout); else t.print(std::cout);
 
     if (!a.svg.empty()) {
-      std::ofstream os(a.svg);
       const gating::ControllerPlacement ctrl(result_router.design().die,
                                              a.partitions);
-      io::write_svg(os, r.tree, result_router.design().die, ctrl);
+      write_file(a.svg, [&](std::ostream& os) {
+        io::write_svg(os, r.tree, result_router.design().die, ctrl);
+      });
     }
   } catch (const guard::GuardError& e) {
     GCR_LOG_ERROR("cli.guard_error").msg(e.status().to_string());
