@@ -32,45 +32,11 @@ void report_stream_ids(const activity::StreamIdSummary& ids,
                  std::to_string(ids.first_id) + ")");
 }
 
-}  // namespace
-
-std::optional<Status> point_finding(const geom::Point& p,
-                                    std::string_view what) {
-  if (!finite_normal(p.x) || !finite_normal(p.y))
-    return make_error(Code::NonFinite, std::string(what) +
-                                           " coordinate is NaN, infinite or "
-                                           "denormal");
-  if (!within_max_coordinate(p))
-    return make_error(Code::Range, std::string(what) +
-                                       " coordinate exceeds 1e9 in magnitude");
-  return std::nullopt;
-}
-
-std::optional<Status> sink_finding(const ct::Sink& s, std::string_view what) {
-  if (std::optional<Status> bad = point_finding(s.loc, what)) return bad;
-  const std::string cap = std::string(what) + " capacitance";
-  if (!finite_normal(s.cap))
-    return make_error(Code::NonFinite, cap + " is NaN, infinite or denormal");
-  if (s.cap <= 0.0) return make_error(Code::BadCap, cap + " must be positive");
-  if (s.cap > kMaxSinkCap)
-    return make_error(Code::BadCap, cap + " exceeds 1e6 pF");
-  return std::nullopt;
-}
-
-const char* die_problem(const geom::DieArea& die) {
-  if (!finite_normal(die.xlo) || !finite_normal(die.ylo) ||
-      !finite_normal(die.xhi) || !finite_normal(die.yhi))
-    return "die bounds are not finite";
-  if (die.width() <= 0.0 || die.height() <= 0.0)
-    return "die area is empty or inverted";
-  if (!within_max_coordinate({die.xlo, die.ylo}) ||
-      !within_max_coordinate({die.xhi, die.yhi}))
-    return "die bounds exceed 1e9 in magnitude";
-  return nullptr;
-}
-
-// One sort of the indices by (x, y, index) groups each location with its
-// lowest index first; -0.0 and 0.0 compare equal, so they are one location.
+/// For each sink with finite coordinates, the index of the first sink at
+/// the same location, or npos when it is the first there (also for sinks
+/// with non-finite coordinates). One sort of the indices by (x, y, index)
+/// groups each location with its lowest index first; -0.0 and 0.0 compare
+/// equal, so they are one location.
 std::vector<std::size_t> first_at_location(const std::vector<ct::Sink>& sinks) {
   constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> order;
@@ -95,6 +61,47 @@ std::vector<std::size_t> first_at_location(const std::vector<ct::Sink>& sinks) {
       head = k;
   }
   return first;
+}
+
+}  // namespace
+
+std::optional<Status> point_finding(const geom::Point& p,
+                                    std::string_view what) {
+  if (!finite_normal(p.x) || !finite_normal(p.y))
+    return make_error(Code::NonFinite, std::string(what) +
+                                           " coordinate is NaN, infinite or "
+                                           "denormal");
+  if (!within_max_coordinate(p))
+    return make_error(Code::Range, std::string(what) +
+                                       " coordinate exceeds 1e9 in magnitude");
+  return std::nullopt;
+}
+
+std::optional<Status> sink_finding(const ct::Sink& s, std::string_view what) {
+  if (std::optional<Status> bad = point_finding(s.loc, what)) return bad;
+  if (!finite_normal(s.cap))
+    return make_error(Code::NonFinite, std::string(what) +
+                                           " capacitance is NaN, infinite or "
+                                           "denormal");
+  if (s.cap <= 0.0)
+    return make_error(Code::BadCap,
+                      std::string(what) + " capacitance must be positive");
+  if (s.cap > kMaxSinkCap)
+    return make_error(Code::BadCap,
+                      std::string(what) + " capacitance exceeds 1e6 pF");
+  return std::nullopt;
+}
+
+const char* die_problem(const geom::DieArea& die) {
+  if (!finite_normal(die.xlo) || !finite_normal(die.ylo) ||
+      !finite_normal(die.xhi) || !finite_normal(die.yhi))
+    return "die bounds are not finite";
+  if (die.width() <= 0.0 || die.height() <= 0.0)
+    return "die area is empty or inverted";
+  if (!within_max_coordinate({die.xlo, die.ylo}) ||
+      !within_max_coordinate({die.xhi, die.yhi}))
+    return "die bounds exceed 1e9 in magnitude";
+  return nullptr;
 }
 
 bool validate_design(const core::Design& design, Diag& diag,

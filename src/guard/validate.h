@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "core/design.h"
 #include "guard/status.h"
@@ -70,12 +69,6 @@ inline constexpr double kMaxCoordinate = 1e9;
 /// that is not finite, an empty or inverted area, or a bound above
 /// kMaxCoordinate in magnitude. Each is a GCR_E_DIE finding.
 [[nodiscard]] const char* die_problem(const geom::DieArea& die);
-
-/// For each sink with finite coordinates, the index of the first sink at
-/// the same location, or SIZE_MAX when it is the first there (also for
-/// sinks with non-finite coordinates). -0.0 and 0.0 are one location.
-[[nodiscard]] std::vector<std::size_t> first_at_location(
-    const std::vector<ct::Sink>& sinks);
 
 /// Resource caps. Zero disables a cap. Defaults are far above any design
 /// in the test suite but low enough to fail fast on garbage.

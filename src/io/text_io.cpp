@@ -1,9 +1,8 @@
 #include "io/text_io.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <istream>
-#include <limits>
+#include <map>
 #include <ostream>
 #include <utility>
 
@@ -103,47 +102,38 @@ std::optional<SinksFile> read_sinks(std::istream& is, guard::Diag& diag,
   const char* const die_problem = guard::die_problem(f.die);
   if (die_problem) diag.error(Code::DieArea, die_problem, lx.line_loc(0));
 
-  // Findings on sink lines are held, then reported in line order together
-  // with the duplicates, which are known only once every sink is read.
-  std::vector<guard::Status> found;
-  const auto error = [&](Code code, std::string msg, guard::SourceLoc loc) {
-    found.push_back(guard::make_error(code, std::move(msg), std::move(loc)));
-  };
-  std::vector<std::size_t> sink_line;  // line index of each accepted sink
+  std::map<std::pair<double, double>, int> seen;  // coord -> line number
   for (std::size_t i = 1; i < lx.num_lines(); ++i) {
     LineCursor c = lx.cursor(i);
     double x = 0, y = 0, cap = 0;
     if (!c.next_double(x) || !c.next_double(y) || !c.next_double(cap)) {
-      error(Code::Parse, "malformed sink line (need 'x y cap')", c.loc());
+      diag.error(Code::Parse, "malformed sink line (need 'x y cap')",
+                 c.loc());
       continue;
     }
     if (!c.at_end()) {
-      error(Code::Parse, "trailing garbage after sink capacitance", c.loc());
+      diag.error(Code::Parse, "trailing garbage after sink capacitance",
+                 c.loc());
       continue;
     }
     if (std::optional<guard::Status> bad =
             guard::sink_finding({{x, y}, cap}, "sink")) {
       bad->loc = lx.line_loc(i);
-      found.push_back(std::move(*bad));
+      diag.report(std::move(*bad));
       continue;
     }
     if (!die_problem && !f.die.contains({x, y}))
-      error(Code::OutOfDie, "sink lies outside the die area", lx.line_loc(i));
+      diag.error(Code::OutOfDie, "sink lies outside the die area",
+                 lx.line_loc(i));
+    const auto [it, inserted] =
+        seen.emplace(std::make_pair(x, y), lx.line_number(i));
+    if (!inserted)
+      diag.error(Code::Duplicate,
+                 "duplicate sink coordinate (first at line " +
+                     std::to_string(it->second) + ")",
+                 lx.line_loc(i));
     f.sinks.push_back({{x, y}, cap});
-    sink_line.push_back(i);
   }
-  const std::vector<std::size_t> first = guard::first_at_location(f.sinks);
-  for (std::size_t k = 0; k < f.sinks.size(); ++k)
-    if (first[k] != std::numeric_limits<std::size_t>::max())
-      error(Code::Duplicate,
-            "duplicate sink coordinate (first at line " +
-                std::to_string(lx.line_number(sink_line[first[k]])) + ")",
-            lx.line_loc(sink_line[k]));
-  std::stable_sort(found.begin(), found.end(),
-                   [](const guard::Status& a, const guard::Status& b) {
-                     return a.loc.line < b.loc.line;
-                   });
-  for (guard::Status& s : found) diag.report(std::move(s));
   if (f.sinks.empty() && diag.error_count() == errors_before)
     diag.error(Code::EmptyDesign, "sinks file declares no sinks",
                lx.end_loc());
