@@ -54,9 +54,9 @@ inline constexpr double kMaxSinkCap = 1e6;
 /// an error everywhere, since out-of-die is only a lenient-mode warning.
 inline constexpr double kMaxCoordinate = 1e9;
 
-/// The first finding on an input point, or nullopt: a NaN,
-/// infinite or denormal coordinate (GCR_E_NONFINITE) or one above
-/// kMaxCoordinate (GCR_E_RANGE). The message starts with `what`.
+/// The first finding on an input point, or nullopt: a NaN, infinite or
+/// denormal coordinate (GCR_E_NONFINITE) or one above kMaxCoordinate
+/// (GCR_E_RANGE). The message starts with `what`.
 [[nodiscard]] std::optional<Status> point_finding(const geom::Point& p,
                                                   std::string_view what);
 
