@@ -58,6 +58,26 @@ expect 3 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
   --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
   --auto-tune --deadline-ms 0
 
+# With --profile the truncated route also leaves a JSON-valid flight record
+# next to the run report.
+expect 3 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+  --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
+  --deadline-ms 0 --report "$demo/r.json" --profile
+if python3 -m json.tool "$demo/r.json.flightrec.json" > /dev/null 2>&1; then
+  echo "ok: r.json.flightrec.json is valid JSON"
+else
+  echo "FAIL: no JSON-valid r.json.flightrec.json after --profile" >&2
+  fail=1
+fi
+
+# --profile adds sections to the --report document, so alone it is a flag
+# error; so are telemetry snapshots with no JSONL log to keep them.
+expect 1 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+  --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" --profile
+expect 1 env -u GCR_LOG "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+  --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
+  --telemetry-interval-ms 10
+
 # A finite sink load far past any real pin (1e308 pF) would overflow the
 # Elmore arithmetic; it is invalid input under every topology and builder.
 awk 'NR == 4 { $3 = "1e308" } 1' "$demo/demo.sinks" > "$demo/huge_cap.sinks"

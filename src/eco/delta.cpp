@@ -1,7 +1,6 @@
 #include "eco/delta.h"
 
 #include <cassert>
-#include <cmath>
 #include <string>
 
 #include "guard/validate.h"
@@ -45,17 +44,10 @@ bool validate_delta(const core::Design& base, const DesignDelta& delta,
   for (std::size_t i = 0; i < delta.adds.size(); ++i) {
     const SinkAdd& add = delta.adds[i];
     const std::string who = "added sink #" + std::to_string(i);
-    if (std::optional<guard::Status> bad =
-            guard::point_finding(add.sink.loc, who)) {
+    if (std::optional<guard::Status> bad = guard::sink_finding(add.sink, who)) {
       diag.report(std::move(*bad));
       continue;
     }
-    if (!std::isfinite(add.sink.cap))
-      diag.error(guard::Code::NonFinite, who + " has a non-finite load cap");
-    else if (add.sink.cap < 0.0)
-      diag.error(guard::Code::BadCap, who + " has a negative load cap");
-    else if (add.sink.cap > guard::kMaxSinkCap)
-      diag.error(guard::Code::BadCap, who + " has a load cap above 1e6 pF");
     if (!base.die.contains(add.sink.loc))
       diag.warning(guard::Code::OutOfDie, who + " lies outside the die");
     if (add.module < 0 || add.module >= base.rtl.num_modules())

@@ -492,7 +492,9 @@ CliLogger::CliLogger(const Flags& flags, Level floor) {
   lopts.json_path = flags.json_path;
   if (lopts.json_path.empty())
     if (const char* env = std::getenv("GCR_LOG")) lopts.json_path = env;
+  const bool wants_jsonl = !lopts.json_path.empty();
   ok_ = Logger::instance().init(std::move(lopts));
+  jsonl_ = wants_jsonl && ok_;
   install_guard_bridge();
 }
 

@@ -39,6 +39,8 @@ struct Status;
 namespace gcr::log {
 
 inline constexpr int kEventSchemaVersion = 2;
+/// `gcr.snapshot` lines (prof::Ticker writes them through Logger::write).
+inline constexpr int kSnapshotSchemaVersion = 2;
 
 enum class Level : int { Trace = 0, Debug, Info, Warn, Error, Off };
 
@@ -198,7 +200,7 @@ class Logger {
   bool admit(Record& r);
 
   /// Render `r` and write it to every sink on the calling thread
-  /// (EventBuilder and the telemetry emitter). Discarded when the logger
+  /// (EventBuilder and prof::Ticker's snapshots). Discarded when the logger
   /// is stopped or `r.session` names an earlier session.
   void write(const Record& r);
 
@@ -276,9 +278,13 @@ class CliLogger {
 
   /// False when the JSONL path could not be opened.
   [[nodiscard]] bool ok() const { return ok_; }
+  /// True when a JSONL file sink is open (the only sink that keeps
+  /// gcr.snapshot lines).
+  [[nodiscard]] bool jsonl() const { return jsonl_; }
 
  private:
   bool ok_;
+  bool jsonl_;
 };
 
 }  // namespace gcr::log

@@ -1,7 +1,6 @@
 #include "log/schema.h"
 
 #include "log/logger.h"
-#include "log/telemetry.h"
 
 namespace gcr::log {
 

@@ -19,7 +19,7 @@
 ///     obs::Bind bind(&session);
 ///     ... construct router, route ...   // timers land in `session`
 ///   }
-///   obs::write_run_report(os, opts, result, session);
+///   obs::write_run_report(os, session, {"tool", &opts, &result});
 ///
 /// This keeps every public algorithm signature unchanged and makes the
 /// disabled path (no session bound, the default) a thread-local null check.

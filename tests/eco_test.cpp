@@ -105,6 +105,17 @@ TEST(EcoDelta, ValidateRejectsBadPayloads) {
   EXPECT_TRUE(has_error(stream_diag, guard::Code::StreamId));
 }
 
+TEST(EcoDelta, ZeroCapAddIsAnError) {
+  // The in-memory check matches read_delta and strict validate_design: a
+  // sink load must be positive, so a 0 pF add is GCR_E_CAP.
+  const core::GatedClockRouter router = make_router(4, 32);
+  guard::Diag diag;
+  eco::DesignDelta zero_add;
+  zero_add.adds.push_back({{{10.0, 10.0}, 0.0}, 0});
+  EXPECT_FALSE(eco::validate_delta(router.design(), zero_add, diag));
+  EXPECT_TRUE(has_error(diag, guard::Code::BadCap)) << diag_text(diag);
+}
+
 TEST(EcoDelta, OutOfDieMoveIsAWarningNotAnError) {
   const core::GatedClockRouter router = make_router(4, 33);
   guard::Diag diag;

@@ -2,6 +2,8 @@
 
 #include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "activity/brute_force.h"
 #include "benchdata/rbench.h"
@@ -149,9 +151,16 @@ TEST_F(Integration, ObservedRunReportsAllPhasesAndEveryMerge) {
   EXPECT_EQ(merge_events, kSinks - 1);
 
   std::ostringstream os;
-  obs::write_run_report(os, opts, r, session);
+  obs::RunReport rep;
+  rep.tool = "integration_test";
+  rep.options = &opts;
+  rep.result = &r;
+  obs::write_run_report(os, session, rep);
   const std::string doc = os.str();
-  EXPECT_TRUE(obs::json::valid(doc)) << doc.substr(0, 400);
+  const std::optional<obs::json::Value> parsed = obs::json::parse(doc);
+  ASSERT_TRUE(parsed.has_value()) << doc.substr(0, 400);
+  const std::vector<std::string> problems = obs::validate_run_report(*parsed);
+  EXPECT_TRUE(problems.empty()) << problems.front();
   for (const char* phase : {"\"analyze\"", "\"route\"", "\"topology\"",
                             "\"controller\"", "\"embed\"", "\"eval\"",
                             "\"delays\""})

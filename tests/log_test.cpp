@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,14 +14,13 @@
 
 #include "log/logger.h"
 #include "log/schema.h"
-#include "log/telemetry.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "obs/timer.h"
 #include "perf/memhook.h"
 #include "prof/recorder.h"
-#include "prof/sampler.h"
+#include "prof/ticker.h"
 
 /// Unit tests of gcr::log: runtime level filtering, write-through
 /// delivery (a record is in the sink when its statement returns, and a
@@ -241,11 +241,13 @@ TEST_F(LogTest, EmittedLinesSatisfyTheSharedSchemaValidator) {
       .msg("payload of every kv type");
   GCR_LOG_WARN("schema.warn");
 
-  log::TelemetryEmitter telemetry;
-  telemetry.start({/*interval_ms=*/5});
+  prof::Ticker telemetry;
+  telemetry.start({.sample_us = 0, .snapshot_ms = 5});
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  const std::uint64_t snapshots = telemetry.stop();
+  const prof::Ticker::Profile run = telemetry.stop();
+  const std::uint64_t snapshots = run.snapshots;
   EXPECT_GE(snapshots, 1u);
+  EXPECT_EQ(run.ticks, 0u);  // sampling period 0: snapshots only
   log::Logger::instance().flush();
 
   std::uint64_t events = 0;
@@ -316,10 +318,10 @@ TEST_F(LogTest, EventsCarryPhasePathAndThreadOrdinal) {
   EXPECT_EQ(per_tid.size(), 4u);
 }
 
-TEST_F(LogTest, SamplerStartStopKeepsPhasePathsUnderARunningLogger) {
-  // The logger and the sampler both read the recorder's phase stacks;
-  // neither may switch them off for the other. Stopping a sampler while
-  // the logger runs must leave later events with their phase path.
+TEST_F(LogTest, TickerStartStopKeepsPhasePathsUnderARunningLogger) {
+  // The logger and the ticker's sampling both read the recorder's phase
+  // stacks; neither may switch them off for the other. Stopping a ticker
+  // while the logger runs must leave later events with their phase path.
   log::Options opts;
   opts.level = log::Level::Info;
   const log::MemorySink sink = init_with_memory_sink(std::move(opts));
@@ -329,9 +331,9 @@ TEST_F(LogTest, SamplerStartStopKeepsPhasePathsUnderARunningLogger) {
     obs::ScopedTimer phase("before");
     GCR_LOG_INFO("sampler.before").kv("k", 1);
   }
-  prof::Sampler sampler;
-  sampler.start();
-  (void)sampler.stop();
+  prof::Ticker ticker;
+  ticker.start({.sample_us = 100, .snapshot_ms = 1});
+  (void)ticker.stop();
   {
     obs::ScopedTimer phase("after");
     obs::ScopedTimer inner("inner");
@@ -345,6 +347,57 @@ TEST_F(LogTest, SamplerStartStopKeepsPhasePathsUnderARunningLogger) {
   const std::vector<log::Record> after = events_named(sink, "sampler.after");
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].phase, "after/inner");
+}
+
+/// Threads of this process, from /proc/self/task; -1 when unavailable.
+int task_count() {
+  std::error_code ec;
+  int n = 0;
+  for (auto it = std::filesystem::directory_iterator("/proc/self/task", ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec))
+    ++n;
+  return ec ? -1 : n;
+}
+
+TEST_F(LogTest, TickerSamplesAndSnapshotsOnOneThread) {
+  log::Options opts;
+  opts.level = log::Level::Info;
+  const log::MemorySink sink = init_with_memory_sink(std::move(opts));
+  const int before = task_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+
+  obs::Session session;
+  obs::Bind bind(&session);
+  const obs::ScopedTimer phase("ticker_both");
+  prof::Ticker ticker;
+  ticker.start({.sample_us = 200, .snapshot_ms = 5});
+  ASSERT_TRUE(ticker.running());
+  EXPECT_EQ(task_count(), before + 1);  // one thread does both jobs
+
+  // Wait (bounded) for a periodic snapshot, so the tail one at stop() is
+  // not what makes the count positive.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t periodic = 0;
+  while (periodic == 0 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    periodic = sink.lines().size();
+  }
+  EXPECT_EQ(task_count(), before + 1);
+  const prof::Ticker::Profile p = ticker.stop();
+  log::Logger::instance().flush();
+
+  EXPECT_GE(periodic, 1u);
+  EXPECT_GT(p.ticks, 0u);
+  EXPECT_GE(p.snapshots, 2u);  // at least one periodic plus the tail
+  std::uint64_t snaps = 0;
+  for (const log::Record& r : sink.records())
+    if (r.kind == log::Record::Kind::Snapshot) ++snaps;
+  EXPECT_EQ(snaps, p.snapshots);
+  bool sampled = false;
+  for (const prof::Ticker::Entry& e : p.entries)
+    sampled = sampled || (e.phase == "ticker_both" && e.self > 0);
+  EXPECT_TRUE(sampled);
 }
 
 TEST_F(LogTest, DisabledLoggerEmitsNothingAndNeverAllocates) {

@@ -21,12 +21,12 @@
 #include "guard/postmortem.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/session.h"
 #include "obs/timer.h"
 #include "prof/hwcounters.h"
 #include "prof/recorder.h"
-#include "prof/report.h"
-#include "prof/sampler.h"
+#include "prof/ticker.h"
 #include "verify/generator.h"
 
 namespace gcr {
@@ -219,18 +219,18 @@ TEST(HwCounters, EnvKnobForcesRusageFallback) {
   unsetenv("GCR_PROF_NO_HW");
 }
 
-// --- sampler ---------------------------------------------------------------
+// --- ticker: phase sampling ----------------------------------------------
 
-TEST(Sampler, CreditsSelfToInnermostAndTotalToStack) {
+TEST(Ticker, CreditsSelfToInnermostAndTotalToStack) {
   // ScopedTimer (and therefore the recorder's phase stack) is a no-op
   // without a bound session -- the sampler observes sessions, not bare
   // threads.
   obs::Session session;
   obs::Bind bind(&session);
-  prof::Sampler sampler;
-  prof::Sampler::Options opts;
-  opts.interval_us = 100;
-  prof::Sampler::Profile p;
+  prof::Ticker sampler;
+  prof::Ticker::Options opts;
+  opts.sample_us = 100;
+  prof::Ticker::Profile p;
   {
     obs::ScopedTimer outer("sampler_outer");
     obs::ScopedTimer inner("sampler_inner");
@@ -248,9 +248,10 @@ TEST(Sampler, CreditsSelfToInnermostAndTotalToStack) {
   }
   EXPECT_FALSE(sampler.running());
   EXPECT_GT(p.ticks, 0u);
+  EXPECT_EQ(p.snapshots, 0u);  // snapshot period 0: sampling only
   ASSERT_FALSE(p.entries.empty());
   std::uint64_t inner_self = 0, outer_total = 0, outer_self = 0;
-  for (const prof::Sampler::Entry& e : p.entries) {
+  for (const prof::Ticker::Entry& e : p.entries) {
     EXPECT_GE(e.total, e.self);
     if (e.phase == "sampler_inner") inner_self = e.self;
     if (e.phase == "sampler_outer") {
@@ -368,55 +369,99 @@ TEST(WorkerTrace, RouteAtFourThreadsCapturesEveryMergeDecision) {
   obs::set_metrics_enabled(false);
 }
 
-// --- profile report --------------------------------------------------------
+// --- run report ------------------------------------------------------------
 
-TEST(ProfileReport, RoundTripsThroughTheValidator) {
+/// Validator problems of `text`, or one "unparsable" entry.
+std::vector<std::string> run_report_problems(const std::string& text) {
+  const std::optional<obs::json::Value> doc = obs::json::parse(text);
+  if (!doc) return {"unparsable: " + text.substr(0, 200)};
+  return obs::validate_run_report(*doc);
+}
+
+TEST(RunReport, RoundTripsThroughTheValidator) {
   obs::set_metrics_enabled(true);
   obs::Registry::global().reset();
   obs::Session session;
   obs::Bind bind(&session);
-  prof::Sampler sampler;
-  prof::Sampler::Options sopts;
-  sopts.interval_us = 200;
-  sampler.start(sopts);
+
+  verify::DesignSpec spec = verify::random_spec(5);
+  spec.num_sinks = 24;
+  const core::GatedClockRouter router(verify::generate_design(spec));
+  core::RouterOptions ropts;
+  ropts.style = core::TreeStyle::Gated;
+
+  prof::Ticker ticker;
+  prof::Ticker::Options topts;
+  topts.sample_us = 200;
+  ticker.start(topts);
+  const core::RouterResult result = router.route(ropts);
   {
     obs::ScopedTimer phase("report_phase");
     volatile double sink = 0.0;
     for (int i = 0; i < 4000000; ++i) sink = sink + 1.0 / (1.0 + i);
     (void)sink;
   }
-  const prof::Sampler::Profile p = sampler.stop();
+  const prof::Ticker::Profile p = ticker.stop();
 
+  // Every combination of the two optional groups is a valid run report,
+  // and each group appears exactly when it was asked for.
+  for (const bool routed : {false, true}) {
+    for (const bool profiled : {false, true}) {
+      obs::RunReport rep;
+      rep.tool = "prof_test";
+      if (routed) {
+        rep.options = &ropts;
+        rep.result = &result;
+      }
+      if (profiled) {
+        rep.profile = &p;
+        rep.hw = prof::hw_info();
+      }
+      std::ostringstream os;
+      obs::write_run_report(os, session, rep);
+      const std::string text = os.str();
+      const std::vector<std::string> problems = run_report_problems(text);
+      EXPECT_TRUE(problems.empty())
+          << routed << profiled << ": " << problems.front();
+      const std::optional<obs::json::Value> doc = obs::json::parse(text);
+      ASSERT_TRUE(doc.has_value());
+      EXPECT_EQ(doc->find("options") != nullptr, routed);
+      EXPECT_EQ(doc->find("result") != nullptr, routed);
+      EXPECT_EQ(doc->find("sampler") != nullptr, profiled);
+      EXPECT_EQ(doc->find("hw") != nullptr, profiled);
+      ASSERT_NE(doc->find("phases"), nullptr);
+      ASSERT_NE(doc->find("counters"), nullptr);
+    }
+  }
+
+  obs::RunReport full;
+  full.tool = "prof_test";
+  full.options = &ropts;
+  full.result = &result;
+  full.profile = &p;
+  full.hw = prof::hw_info();
   std::ostringstream os;
-  prof::ProfileReportOptions opts;
-  opts.tool = "prof_test";
-  opts.profile = &p;
-  opts.session = &session;
-  opts.hw = prof::hw_info();
-  prof::write_profile_report(os, opts);
+  obs::write_run_report(os, session, full);
+  const std::string text = os.str();
 
-  const std::optional<obs::json::Value> doc = obs::json::parse(os.str());
-  ASSERT_TRUE(doc.has_value()) << os.str().substr(0, 200);
-  EXPECT_TRUE(prof::validate_profile_report(*doc).empty());
+  // Negative: a wrong schema tag, a sampler without its hw keys, and half
+  // of the routed group must each be reported, not silently accepted.
+  std::string bogus = text;
+  bogus.replace(bogus.find("gcr.run_report"),
+                std::string("gcr.run_report").size(), "gcr.bogus");
+  EXPECT_FALSE(run_report_problems(bogus).empty());
 
-  // Negative: a wrong schema tag and a missing sampler section must both
-  // be reported as problems, not silently accepted.
-  std::string corrupt = os.str();
-  corrupt.replace(corrupt.find("gcr.profile_report"),
-                  std::string("gcr.profile_report").size(), "gcr.bogus");
-  const std::optional<obs::json::Value> bad = obs::json::parse(corrupt);
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(prof::validate_profile_report(*bad).empty());
+  std::string no_hw = text;
+  no_hw.replace(no_hw.find("\"hw\""), 4, "\"hx\"");
+  EXPECT_FALSE(run_report_problems(no_hw).empty());
 
-  std::string no_sampler = os.str();
-  no_sampler.replace(no_sampler.find("\"sampler\""), 9, "\"sampled\"");
-  const std::optional<obs::json::Value> bad2 = obs::json::parse(no_sampler);
-  ASSERT_TRUE(bad2.has_value());
-  EXPECT_FALSE(prof::validate_profile_report(*bad2).empty());
+  std::string no_result = text;
+  no_result.replace(no_result.find("\"result\""), 8, "\"resulx\"");
+  EXPECT_FALSE(run_report_problems(no_result).empty());
   obs::set_metrics_enabled(false);
 }
 
-TEST(ProfileReport, PostmortemDumpWritesReadableFile) {
+TEST(FlightRec, PostmortemDumpWritesReadableFile) {
   prof::record(prof::Ev::Mark, "postmortem_test");
   const std::string path = "prof_test_postmortem.flightrec.json";
   ASSERT_TRUE(guard::postmortem_dump(path));

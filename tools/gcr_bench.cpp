@@ -20,8 +20,9 @@
 ///   --no-mem     leave the allocation hook off (timings only)
 ///   --threads N  route_par sweeps clustered-build widths {1, N} instead of
 ///                the default set
-///   --profile    also write a `PROF_<group>.json` gcr.profile_report per
-///                group (sampling profiler + hw counters);
+///   --profile    also write a `PROF_<group>.json` gcr.run_report per
+///                group (sampled phase profile + hw counters, no route
+///                options/result);
 ///                the PROF_ prefix keeps the sidecars out of gcr_benchdiff's
 ///                BENCH_*.json directory glob
 
@@ -54,6 +55,7 @@
 #include "gating/gate_reduction.h"
 #include "log/logger.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/session.h"
 #include "io/reqs_io.h"
 #include "io/text_io.h"
@@ -63,8 +65,7 @@
 #include "perf/runner.h"
 #include "serve/service.h"
 #include "prof/hwcounters.h"
-#include "prof/report.h"
-#include "prof/sampler.h"
+#include "prof/ticker.h"
 #include "tech/params.h"
 
 using namespace gcr;
@@ -698,18 +699,18 @@ int main(int argc, char** argv) {
     obs::Session session;
     obs::Bind bind(&session);
 
-    prof::Sampler sampler;
+    prof::Ticker ticker;
     prof::HwInfo hw;
     if (profile) {
       hw = prof::enable_hw_counters();
-      sampler.start();
+      ticker.start({});
     }
 
     std::cerr << "== " << group << " ==\n";
     const std::vector<perf::BenchResult> results = runner.run(opts, &std::cerr);
     if (results.empty()) {
       if (profile) {
-        (void)sampler.stop();
+        (void)ticker.stop();
         prof::disable_hw_counters();
       }
       continue;  // filter matched nothing in this group
@@ -727,19 +728,18 @@ int main(int argc, char** argv) {
     ++written;
 
     if (profile) {
-      const prof::Sampler::Profile p = sampler.stop();
+      const prof::Ticker::Profile p = ticker.stop();
       const std::string ppath = out_dir + "/PROF_" + group + ".json";
       std::ofstream pos(ppath);
       if (!pos) {
         GCR_LOG_ERROR("bench.io").msg("cannot open " + ppath);
         return 2;
       }
-      prof::ProfileReportOptions po;
-      po.tool = "gcr_bench/" + group;
-      po.profile = &p;
-      po.session = &session;
-      po.hw = hw;
-      prof::write_profile_report(pos, po);
+      obs::RunReport rep;
+      rep.tool = "gcr_bench/" + group;
+      rep.profile = &p;
+      rep.hw = hw;
+      obs::write_run_report(pos, session, rep);
       prof::disable_hw_counters();
       std::cout << "wrote " << ppath << '\n';
     }

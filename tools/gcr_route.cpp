@@ -7,7 +7,8 @@
 ///             [--threads n]
 ///             [--strength s | --auto-tune] [--svg out.svg]
 ///             [--tree out.tree] [--csv]
-///             [--report out.json] [--trace out.trace.json] [--verbose]
+///             [--report out.json [--profile]] [--trace out.trace.json]
+///             [--verbose]
 ///
 /// Input formats are the library's text formats (see io/text_io.h); use
 /// `gcr_route --demo <dir>` to emit a ready-to-route example design.
@@ -38,16 +39,15 @@
 #include "io/text_io.h"
 #include "io/tree_io.h"
 #include "log/logger.h"
-#include "log/telemetry.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/report_util.h"
 #include "obs/session.h"
 #include "obs/timer.h"
 #include "perf/memhook.h"
 #include "prof/hwcounters.h"
 #include "prof/recorder.h"
-#include "prof/report.h"
-#include "prof/sampler.h"
+#include "prof/ticker.h"
 #include "verify/invariants.h"
 
 using namespace gcr;
@@ -68,14 +68,15 @@ struct Args {
   std::string eco;  // .delta file: incremental re-route after the base route
   std::string svg, tree_out, demo_dir;
   bool csv = false;
-  std::string report, trace, profile;
+  std::string report, trace;
+  bool profile = false;  // adds the profile sections to the --report file
   bool verbose = false;
   bool mem_stats = false;
   bool selftest = false;
   long deadline_ms = -1;  // < 0 = unlimited; 0 = expire immediately
   std::string log_json;   // JSONL event log ("" = GCR_LOG env or none)
   std::string log_level;  // runtime floor ("" = GCR_LOG_LEVEL env or info)
-  int telemetry_interval_ms = 0;  // 0 = no periodic snapshots
+  int telemetry_interval_ms = 0;  // <= 0 = no periodic snapshots
 };
 
 void usage() {
@@ -101,14 +102,14 @@ void usage() {
          "  --svg FILE                       write layout drawing\n"
          "  --tree FILE                      write routed tree (text format)\n"
          "  --csv                            machine-readable report\n"
-         "  --report FILE                    JSON run report (options, phase\n"
+         "  --report FILE                    gcr.run_report JSON (options, phase\n"
          "                                   timings, counters, results)\n"
          "  --trace FILE                     Chrome trace-event JSON (open in\n"
          "                                   chrome://tracing or Perfetto)\n"
-         "  --profile FILE                   gcr.profile_report JSON: sampled\n"
-         "                                   self/total phase profile, per-phase\n"
-         "                                   hw counters; on failure dumps\n"
-         "                                   FILE.flightrec.json\n"
+         "  --profile                        add a sampled self/total phase\n"
+         "                                   profile and per-phase hw counters\n"
+         "                                   to the --report FILE; on failure\n"
+         "                                   dumps FILE.flightrec.json\n"
          "  --verbose                        phase/counter summary to stderr\n"
          "  --mem-stats                      heap bytes per phase + peak RSS\n"
          "                                   to stderr (implies the phase\n"
@@ -124,7 +125,8 @@ void usage() {
          "                                   runtime floor (GCR_LOG_LEVEL env;\n"
          "                                   default info)\n"
          "  --telemetry-interval-ms MS       periodic gcr.snapshot telemetry\n"
-         "                                   lines in the JSONL log\n"
+         "                                   lines in the JSONL log (needs\n"
+         "                                   --log-json or GCR_LOG)\n"
          "exit codes: 0 ok, 1 usage, 2 invalid input, 3 deadline/resource,\n"
          "            4 internal error or selftest violation\n";
 }
@@ -175,7 +177,7 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--trace") {
       if (const char* v = next()) a.trace = v; else return std::nullopt;
     } else if (flag == "--profile") {
-      if (const char* v = next()) a.profile = v; else return std::nullopt;
+      a.profile = true;
     } else if (flag == "--verbose") {
       a.verbose = true;
     } else if (flag == "--mem-stats") {
@@ -255,14 +257,29 @@ int main(int argc, char** argv) {
   if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
-  log::TelemetryEmitter telemetry;  // declared after the logger: stops first
+  // The profile rides in the run report, and snapshots only in a JSONL log
+  // (the stderr sink never prints them).
+  if (a.profile && a.report.empty()) {
+    GCR_LOG_ERROR("cli.bad_flag")
+        .kv("flag", "--profile")
+        .msg("--profile needs --report FILE");
+    return guard::kExitUsage;
+  }
+  if (a.telemetry_interval_ms > 0 && !logger.jsonl()) {
+    GCR_LOG_ERROR("cli.bad_flag")
+        .kv("flag", "--telemetry-interval-ms")
+        .msg("--telemetry-interval-ms needs a JSONL log (--log-json FILE "
+             "or GCR_LOG)");
+    return guard::kExitUsage;
+  }
+  prof::Ticker ticker;  // declared after the logger: stops first
 
   try {
     if (!a.demo_dir.empty()) return write_demo(a.demo_dir);
     // Observability: bind a session before the inputs are read so the
     // phase tree covers parse, validation, routing and the tree write.
     const bool observed = !a.report.empty() || !a.trace.empty() ||
-                          !a.profile.empty() || a.verbose || a.mem_stats;
+                          a.verbose || a.mem_stats;
     if (a.mem_stats) {
       if (perf::memhook::available())
         perf::memhook::enable();  // before any phase runs
@@ -280,14 +297,18 @@ int main(int argc, char** argv) {
       obs::Registry::global().reset();
       bind.emplace(&session);
     }
-    // Profiling starts at the same point, so parsing is sampled too.
-    prof::Sampler sampler;
+    // Profiling and telemetry start at the same point, so parsing is
+    // sampled too.
     prof::HwInfo hw;
-    if (!a.profile.empty()) {
+    const std::string flightrec = a.report + ".flightrec.json";
+    if (a.profile) {
       hw = prof::enable_hw_counters();
-      sampler.start();
-      guard::install_postmortem(a.profile + ".flightrec.json");
+      guard::install_postmortem(flightrec);
     }
+    prof::Ticker::Options tick;
+    if (!a.profile) tick.sample_us = 0;
+    tick.snapshot_ms = a.telemetry_interval_ms;
+    ticker.start(tick);
 
     guard::Diag diag;
     std::optional<io::SinksFile> sinks;
@@ -352,17 +373,11 @@ int main(int argc, char** argv) {
         a.deadline_ms >= 0
             ? guard::Deadline::after_ms(static_cast<double>(a.deadline_ms))
             : guard::Deadline();
-    if (a.telemetry_interval_ms > 0)
-      telemetry.start({a.telemetry_interval_ms});
     core::RouteOutcome out = router.route_guarded(opts, deadline);
     if (!out.ok()) {
-      if (!a.profile.empty()) {
-        (void)sampler.stop();
-        const std::string fr = a.profile + ".flightrec.json";
-        if (guard::postmortem_dump(fr))
-          out.diag.warning(guard::Code::FlightRecorder,
-                           "flight record written to " + fr);
-      }
+      if (a.profile && guard::postmortem_dump(flightrec))
+        out.diag.warning(guard::Code::FlightRecorder,
+                         "flight record written to " + flightrec);
       // Every diag entry already went through the bridge; add the partial
       // report so the truncated run stays diagnosable from the event log.
       if (out.cancelled) {
@@ -422,27 +437,27 @@ int main(int argc, char** argv) {
                  [&](std::ostream& os) { io::write_routed_tree(os, r.tree); });
     }
     if (!a.report.empty()) {
+      obs::RunReport rep;
+      rep.tool = "gcr_route";
+      rep.options = &opts;
+      rep.result = &r;
+      prof::Ticker::Profile p;
+      if (a.profile) {
+        p = ticker.stop();
+        rep.profile = &p;
+        rep.hw = hw;
+      }
       write_file(a.report, [&](std::ostream& os) {
-        obs::write_run_report(os, opts, r, session);
+        obs::write_run_report(os, session, rep);
       });
+      if (a.profile) prof::disable_hw_counters();
     }
     if (!a.trace.empty()) {
       trace->stop();
       write_file(a.trace,
                  [&](std::ostream& os) { trace->write_chrome_json(os); });
     }
-    if (!a.profile.empty()) {
-      const prof::Sampler::Profile p = sampler.stop();
-      prof::ProfileReportOptions po;
-      po.tool = "gcr_route";
-      po.profile = &p;
-      po.session = &session;
-      po.hw = hw;
-      write_file(a.profile,
-                 [&](std::ostream& os) { prof::write_profile_report(os, po); });
-      prof::disable_hw_counters();
-    }
-    if (a.verbose || a.mem_stats) obs::print_run_summary(std::cerr, session);
+    if (a.verbose || a.mem_stats) obs::print_session_summary(std::cerr, session);
     if (a.mem_stats) {
       const perf::memhook::Stats m = perf::memhook::stats();
       char line[160];
