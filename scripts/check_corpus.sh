@@ -34,6 +34,11 @@ expect 1 "$BUILD"/tools/gcr_serve  # neither --reqs nor --stdin
 expect 1 "$BUILD"/tools/gcr_route --bogus-flag
 expect 1 "$BUILD"/tools/gcr_bench --bogus-flag
 expect 1 "$BUILD"/tools/gcr_benchdiff --bogus-flag
+# An unreadable or invalid report is exit 2, under --validate too.
+bad_report="$(mktemp)"
+printf '{"schema": ' > "$bad_report"
+expect 2 "$BUILD"/tools/gcr_benchdiff --validate "$bad_report"
+rm -f "$bad_report"
 expect 2 "$BUILD"/tools/gcr_check --tree "$REPO/tests/corpus/cycle.tree"
 expect 2 "$BUILD"/tools/gcr_check --tree /nonexistent.tree
 expect 2 "$BUILD"/tools/gcr_check --replay /nonexistent-artifact.json
@@ -77,6 +82,20 @@ expect 1 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
 expect 1 env -u GCR_LOG "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
   --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
   --telemetry-interval-ms 10
+
+# stop() wakes the ticker, so a 2 s snapshot period does not hold the demo
+# route (milliseconds of work) open for the rest of the period.
+t0=$(date +%s%N)
+expect 0 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+  --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
+  --log-json "$demo/ev.jsonl" --telemetry-interval-ms 2000
+elapsed_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+if [ "$elapsed_ms" -lt 1000 ]; then
+  echo "ok: --telemetry-interval-ms 2000 demo route took ${elapsed_ms} ms"
+else
+  echo "FAIL: --telemetry-interval-ms 2000 demo route took ${elapsed_ms} ms" >&2
+  fail=1
+fi
 
 # A finite sink load far past any real pin (1e308 pF) would overflow the
 # Elmore arithmetic; it is invalid input under every topology and builder.

@@ -34,11 +34,34 @@ T value_or_throw(std::optional<T> v, const Diag& diag) {
 /// digits) it drops the line's partial output and returns false; the
 /// caller then re-parses the line with a LineCursor, so every diagnostic
 /// keeps its code and column.
+///
+/// Most stream ids are one or two digits, so a short-token loop runs first:
+/// while three bytes of the line remain it decides the next token from
+/// p[0..2] with no loop (a separator, a digit and a separator, or two
+/// digits and a separator). Anything else -- three or more digits, a sign,
+/// junk, the last one or two bytes of the line -- falls to the digit loop.
 bool scan_clean_ids(std::string_view line, std::vector<int>& out) {
   constexpr std::ptrdiff_t kMaxDigits = 9;
   const std::size_t mark = out.size();
   const char* p = line.data();
   const char* const end = p + line.size();
+  const auto digit = [](char c) { return static_cast<unsigned>(c - '0'); };
+  while (end - p >= 3) {
+    const unsigned d0 = digit(p[0]);
+    if (d0 > 9) {
+      if (!guard::is_space(p[0])) break;
+      p += 1;
+    } else if (guard::is_space(p[1])) {
+      out.push_back(static_cast<int>(d0));
+      p += 2;
+    } else if (const unsigned d1 = digit(p[1]);
+               d1 <= 9 && guard::is_space(p[2])) {
+      out.push_back(static_cast<int>(10 * d0 + d1));
+      p += 3;
+    } else {
+      break;
+    }
+  }
   for (;;) {
     while (p < end && guard::is_space(*p)) ++p;
     if (p == end) return true;

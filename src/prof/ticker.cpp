@@ -4,11 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -40,14 +41,6 @@ std::int64_t clock_ns(clockid_t clock) {
   return static_cast<std::int64_t>(ts.tv_sec) * kNsPerSec + ts.tv_nsec;
 }
 
-void sleep_until(std::int64_t mono_ns) {
-  const timespec ts{static_cast<time_t>(mono_ns / kNsPerSec),
-                    static_cast<long>(mono_ns % kNsPerSec)};
-  while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) ==
-         EINTR) {
-  }
-}
-
 /// Current resident set size in bytes (/proc/self/statm), 0 when the proc
 /// interface is unavailable.
 std::uint64_t current_rss_bytes() {
@@ -65,7 +58,9 @@ std::uint64_t current_rss_bytes() {
 }  // namespace
 
 struct Ticker::Impl {
-  std::atomic<bool> stop{false};
+  std::mutex mu;
+  std::condition_variable wake;  // stop() wakes the sleeping tick thread
+  bool stop{false};              // guarded by mu
   bool running{false};
   Options opts;
 
@@ -181,24 +176,29 @@ struct Ticker::Impl {
   }
 
   void loop() {
-    const std::int64_t snap_ns =
-        static_cast<std::int64_t>(opts.snapshot_ms) * 1000000;
-    const std::int64_t tick_ns =
-        opts.sample_us > 0 ? static_cast<std::int64_t>(opts.sample_us) * 1000
+    using Clock = std::chrono::steady_clock;
+    const std::chrono::nanoseconds snap_ns =
+        std::chrono::milliseconds(opts.snapshot_ms);
+    const std::chrono::nanoseconds tick_ns =
+        opts.sample_us > 0 ? std::chrono::microseconds(opts.sample_us)
                            : snap_ns;
-    std::int64_t next = clock_ns(CLOCK_MONOTONIC);
-    std::int64_t snap_due = next + snap_ns;
-    while (!stop.load(std::memory_order_acquire)) {
+    Clock::time_point next = Clock::now();
+    Clock::time_point snap_due = next + snap_ns;
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
       next += tick_ns;
-      sleep_until(next);
-      if (stop.load(std::memory_order_acquire)) break;
+      // An absolute deadline keeps the tick drift-free; stop() ends the
+      // wait at once instead of after the rest of the period.
+      if (wake.wait_until(lock, next, [this] { return stop; })) break;
+      lock.unlock();
       if (opts.sample_us > 0) sample();
-      if (snap_ns > 0 && next >= snap_due) {
+      if (snap_ns.count() > 0 && next >= snap_due) {
         snapshot();
         // One line per passed deadline at most: a tick that overslept
         // several snapshot periods does not emit a catch-up burst.
         while (snap_due <= next) snap_due += snap_ns;
       }
+      lock.lock();
     }
   }
 };
@@ -226,7 +226,7 @@ void Ticker::start(const Options& opts) {
     }
     o.sample_us = std::max(50, o.sample_us);
   }
-  impl_->stop.store(false, std::memory_order_release);
+  impl_->stop = false;
   impl_->tallies.clear();
   impl_->ticks = 0;
   impl_->torn = 0;
@@ -240,7 +240,11 @@ void Ticker::start(const Options& opts) {
 Ticker::Profile Ticker::stop() {
   Profile p;
   if (!impl_->running) return p;
-  impl_->stop.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(impl_->mu);
+    impl_->stop = true;
+  }
+  impl_->wake.notify_one();
   impl_->thread.join();
   impl_->running = false;
   if (impl_->opts.snapshot_ms > 0) impl_->snapshot();  // the tail delta

@@ -9,10 +9,11 @@
 /// The one periodic observer thread: interval phase sampling keyed to the
 /// obs phase tree, and continuous `gcr.snapshot` telemetry, on one tick.
 ///
-/// The thread wakes on a drift-free POSIX monotonic deadline
-/// (clock_nanosleep with TIMER_ABSTIME) -- at the sampling period when
-/// sampling, otherwise at the snapshot period -- and per tick does either
-/// or both of:
+/// The thread waits on a condition variable until a drift-free absolute
+/// steady-clock deadline -- at the sampling period when sampling, otherwise
+/// at the snapshot period -- and per tick does either or both of the two
+/// jobs below. stop() wakes it at once, so a long snapshot period does not
+/// hold the process open after the run ends.
 ///
 ///   * **Sampling.** Read every thread's open ScopedTimer phases from the
 ///     event recorder's seqlock'd phase stacks (prof/recorder.h) and credit

@@ -7,6 +7,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "benchdata/paper_example.h"
@@ -14,6 +15,7 @@
 #include "clocktree/embed.h"
 #include "cts/greedy.h"
 #include "gating/controller.h"
+#include "guard/lexer.h"
 #include "io/delta_io.h"
 #include "io/reqs_io.h"
 #include "io/svg.h"
@@ -151,12 +153,111 @@ TEST(TextIo, StreamFastAndSlowPathsAgree) {
       {"1\t2\t\t3", {}, Ids{8, 9, 1, 2, 3, 4}},
       {"1\r2 3\r", {}, Ids{8, 9, 1, 2, 3, 4}},
       {" \v1\f2 ", {}, Ids{8, 9, 1, 2, 4}},
+      // Short tokens in the last one or two bytes of a line, where the
+      // three-byte short-token loop hands over to the digit loop.
+      {"1 2 3 45", {}, Ids{8, 9, 1, 2, 3, 45, 4}},
+      {"10 7", {}, Ids{8, 9, 10, 7, 4}},
+      {"5", {}, Ids{8, 9, 5, 4}},
+      {"42", {}, Ids{8, 9, 42, 4}},
+      {"1 12x 3",
+       {"GCR_E_PARSE 2:3 stream entry '12x' is not an instruction id"},
+       std::nullopt},
+      {"1 12x",
+       {"GCR_E_PARSE 2:3 stream entry '12x' is not an instruction id"},
+       std::nullopt},
+      {"1- 2", {"GCR_E_PARSE 2:1 stream entry '1-' is not an instruction id"},
+       std::nullopt},
+      {"12\t3", {}, Ids{8, 9, 12, 3, 4}},
+      {"00 1", {}, Ids{8, 9, 0, 1, 4}},
+      {"12 345 6", {}, Ids{8, 9, 12, 345, 6, 4}},
+      {"1\v22\f3\v\f44", {}, Ids{8, 9, 1, 22, 3, 44, 4}},
   };
   for (const Case& c : cases) {
     const StreamParse got =
         parse_stream("8 9\n" + std::string(c.line2) + "\n4\n");
     EXPECT_EQ(got.diags, c.diags) << c.line2;
     EXPECT_EQ(got.ids, c.ids) << c.line2;
+  }
+  // No newline at the end of the file: the last line ends the buffer, and
+  // its last short token must still be read without looking past it.
+  EXPECT_EQ(parse_stream("8 9\n1 12").ids, (Ids{8, 9, 1, 12}));
+  EXPECT_EQ(parse_stream("8 9\n10 7").ids, (Ids{8, 9, 10, 7}));
+}
+
+/// read_stream's result with every line parsed token by token, the way its
+/// slow path does: the reference the in-place scanner must agree with.
+StreamParse parse_stream_reference(const std::string& text) {
+  std::istringstream is(text);
+  guard::Lexer lx(is, "t.stream");
+  guard::Diag diag;
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < lx.num_lines(); ++i) {
+    guard::LineCursor c = lx.cursor(i);
+    while (!c.at_end()) {
+      int id = 0;
+      if (!c.next_int(id)) {
+        diag.error(guard::Code::Parse,
+                   "stream entry '" + std::string(c.last_token()) +
+                       "' is not an instruction id",
+                   c.loc());
+        break;
+      }
+      if (id < 0) {
+        diag.error(guard::Code::Range, "negative instruction id", c.loc());
+        continue;
+      }
+      ids.push_back(id);
+    }
+  }
+  if (ids.empty())
+    diag.warning(guard::Code::EmptyStream, "instruction stream is empty",
+                 lx.end_loc());
+  StreamParse out;
+  for (const guard::Status& st : diag.entries())
+    out.diags.push_back(std::string(guard::code_name(st.code)) + " " +
+                        std::to_string(st.loc.line) + ":" +
+                        std::to_string(st.loc.col) + " " + st.message);
+  if (diag.error_count() == 0) out.ids = std::move(ids);
+  return out;
+}
+
+// Random lines of 0-12 digit tokens, some signed or with junk, between runs
+// of every separator: read_stream gives the ids and diagnostics of the
+// token-by-token reference on every file.
+TEST(TextIo, StreamScannerMatchesTokenParserOnRandomLines) {
+  constexpr std::string_view kSeps = " \t\r\v\f";
+  constexpr std::string_view kJunk = "x.e+-#";
+  std::mt19937 rng(20261019);
+  const auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  for (int file = 0; file < 3000; ++file) {
+    std::string text;
+    const int lines = 1 + pick(3);
+    for (int l = 0; l < lines; ++l) {
+      const int tokens = pick(9);
+      for (int t = 0; t < tokens; ++t) {
+        for (int k = pick(3) + (t > 0 ? 1 : 0); k > 0; --k)
+          text += kSeps[static_cast<std::size_t>(pick(5))];
+        const int kind = pick(10);
+        if (kind == 0) text += pick(2) ? '-' : '+';
+        // Mostly one or two digits, as in long traces; up to twelve.
+        const int digits = pick(4) ? 1 + pick(2) : pick(13);
+        for (int d = 0; d < digits; ++d)
+          text += static_cast<char>('0' + pick(10));
+        if (kind == 1)
+          text.insert(text.size() - static_cast<std::size_t>(pick(digits + 1)),
+                      1, kJunk[static_cast<std::size_t>(pick(6))]);
+      }
+      for (int k = pick(3); k > 0; --k)
+        text += kSeps[static_cast<std::size_t>(pick(5))];
+      text += '\n';
+    }
+    if (pick(2)) text.pop_back();  // half the files end without a newline
+    const StreamParse want = parse_stream_reference(text);
+    const StreamParse got = parse_stream(text);
+    ASSERT_EQ(got.diags, want.diags) << text;
+    ASSERT_EQ(got.ids, want.ids) << text;
   }
 }
 

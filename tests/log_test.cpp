@@ -400,6 +400,26 @@ TEST_F(LogTest, TickerSamplesAndSnapshotsOnOneThread) {
   EXPECT_TRUE(sampled);
 }
 
+TEST_F(LogTest, StopWakesALongSnapshotPeriodAndKeepsTheTail) {
+  log::Options opts;
+  opts.level = log::Level::Info;
+  const log::MemorySink sink = init_with_memory_sink(std::move(opts));
+  prof::Ticker ticker;
+  ticker.start({.sample_us = 0, .snapshot_ms = 2000});
+  // Let the tick thread reach its wait, so stop() has to cut it short.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  const prof::Ticker::Profile p = ticker.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(200));
+  log::Logger::instance().flush();
+  EXPECT_EQ(p.snapshots, 1u);  // the tail snapshot, no periodic one
+  std::uint64_t snaps = 0;
+  for (const log::Record& r : sink.records())
+    if (r.kind == log::Record::Kind::Snapshot) ++snaps;
+  EXPECT_EQ(snaps, 1u);
+}
+
 TEST_F(LogTest, DisabledLoggerEmitsNothingAndNeverAllocates) {
   ASSERT_FALSE(log::Logger::instance().running());
   EXPECT_FALSE(log::enabled(log::Level::Error));
