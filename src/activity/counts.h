@@ -8,8 +8,13 @@
 /// \file counts.h
 /// The one scan of the instruction stream that the IFT and the IMATT are
 /// built from (paper sections 3.2-3.3): how often each instruction issues
-/// and how often each ordered pair issues in consecutive cycles. 32-bit
-/// counts suffice because a stream's length is an int.
+/// and how often each ordered pair issues in consecutive cycles. The scan
+/// reads four cycles at a time and spreads their pairs over four
+/// interleaved K*K tables (one table above K = 128), summed at the end, so
+/// a run of one id does not wait on its own counter. Issue counts are not
+/// bumped per cycle: each is its pair row's sum, plus one where the id has
+/// no in-range successor. 32-bit counts suffice because a stream's length
+/// is an int.
 
 namespace gcr::activity {
 

@@ -2,6 +2,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <initializer_list>
 #include <random>
 #include <string>
 #include <vector>
@@ -27,22 +28,53 @@ namespace gcr::activity {
 namespace {
 
 /// The oracle: issue counts and consecutive-pair counts, one cycle at a
-/// time.
+/// time. An id outside [0, k) is counted in the summary fields and left out
+/// of the tables, with both pairs it belongs to.
 struct PlainCounts {
   std::vector<std::uint64_t> instr;
   std::vector<std::uint64_t> pairs;  ///< K*K, [cur * K + nxt]
+  int bad{0};
+  int first_cycle{0};
+  InstrId first_id{0};
 };
 
 PlainCounts plain_counts(const InstructionStream& stream, int k) {
   PlainCounts c{std::vector<std::uint64_t>(static_cast<std::size_t>(k), 0),
                 std::vector<std::uint64_t>(static_cast<std::size_t>(k) * k, 0)};
+  const auto ok = [k](InstrId id) { return id >= 0 && id < k; };
   for (std::size_t t = 0; t < stream.seq.size(); ++t) {
-    ++c.instr.at(static_cast<std::size_t>(stream.seq[t]));
-    if (t > 0)
-      ++c.pairs.at(static_cast<std::size_t>(stream.seq[t - 1]) * k +
-                   stream.seq[t]);
+    const InstrId id = stream.seq[t];
+    if (!ok(id)) {
+      if (c.bad++ == 0) {
+        c.first_cycle = static_cast<int>(t);
+        c.first_id = id;
+      }
+      continue;
+    }
+    ++c.instr.at(static_cast<std::size_t>(id));
+    if (t > 0 && ok(stream.seq[t - 1]))
+      ++c.pairs.at(static_cast<std::size_t>(stream.seq[t - 1]) * k + id);
   }
   return c;
+}
+
+/// count_stream and scan_stream_ids against the oracle, bad ids included.
+void expect_counts_match_plain(const InstructionStream& s, int k) {
+  const PlainCounts want = plain_counts(s, k);
+  const StreamCounts got = count_stream(s, k);
+  EXPECT_EQ(got.length, s.length());
+  EXPECT_EQ(std::vector<std::uint64_t>(got.instr.begin(), got.instr.end()),
+            want.instr);
+  EXPECT_EQ(std::vector<std::uint64_t>(got.pairs.begin(), got.pairs.end()),
+            want.pairs);
+  EXPECT_EQ(got.ids.bad, want.bad);
+  EXPECT_EQ(got.ids.first_cycle, want.first_cycle);
+  EXPECT_EQ(got.ids.first_id, want.first_id);
+
+  const StreamIdSummary scanned = scan_stream_ids(s, k);
+  EXPECT_EQ(scanned.bad, want.bad);
+  EXPECT_EQ(scanned.first_cycle, want.first_cycle);
+  EXPECT_EQ(scanned.first_id, want.first_id);
 }
 
 enum class Shape { Uniform, Local, Constant };
@@ -171,7 +203,7 @@ TEST(StreamCounts, CountsOneIssueAndOnePairPerCycle) {
 TEST(StreamCounts, BadIdSummaryMatchesPlainScanAndSkipsTheirPairs) {
   std::mt19937_64 rng(2026);
   const std::vector<InstrId> bad_values = {-1, INT_MIN, INT_MAX};
-  for (const int k : {1, 2, 64, 128}) {
+  for (const int k : {1, 2, 64, 128, 200}) {
     for (const int len : {1, 2, 17, 1000, 100000}) {
       InstructionStream s = make_stream(Shape::Local, k, len, rng());
       std::uniform_int_distribution<int> where(0, len - 1);
@@ -182,39 +214,57 @@ TEST(StreamCounts, BadIdSummaryMatchesPlainScanAndSkipsTheirPairs) {
       }
       SCOPED_TRACE("k=" + std::to_string(k) + " len=" + std::to_string(len));
 
-      // Plain scan: the summary validate_design used to compute inline.
-      int bad = 0;
-      int first_cycle = 0;
-      InstrId first_id = 0;
-      std::vector<std::uint32_t> instr(static_cast<std::size_t>(k), 0);
-      std::vector<std::uint32_t> pairs(static_cast<std::size_t>(k) * k, 0);
-      const auto ok = [&](InstrId id) { return id >= 0 && id < k; };
-      for (std::size_t t = 0; t < s.seq.size(); ++t) {
-        const InstrId id = s.seq[t];
-        if (!ok(id)) {
-          if (bad++ == 0) {
-            first_cycle = static_cast<int>(t);
-            first_id = id;
-          }
-          continue;
-        }
-        ++instr[static_cast<std::size_t>(id)];
-        if (t > 0 && ok(s.seq[t - 1]))
-          ++pairs[static_cast<std::size_t>(s.seq[t - 1]) * k + id];
-      }
-
-      const StreamCounts c = count_stream(s, k);
-      EXPECT_EQ(c.ids.bad, bad);
-      EXPECT_EQ(c.ids.first_cycle, first_cycle);
-      EXPECT_EQ(c.ids.first_id, first_id);
-      EXPECT_EQ(c.instr, instr);
-      EXPECT_EQ(c.pairs, pairs);
-
-      const StreamIdSummary scanned = scan_stream_ids(s, k);
-      EXPECT_EQ(scanned.bad, bad);
-      EXPECT_EQ(scanned.first_cycle, first_cycle);
-      EXPECT_EQ(scanned.first_id, first_id);
+      expect_counts_match_plain(s, k);
     }
+  }
+}
+
+// The count reads four cycles at a time, and the range check reduces eight
+// lanes before it walks, so a bad id is placed at every cycle of streams
+// shorter than, equal to and just past those blocks. K = 200 is above the
+// largest K that gets four tables, so it runs the one-table loop.
+TEST(StreamCounts, ShortStreamsWithBadIdsMatchPlainCountAtEveryCycle) {
+  std::uint64_t seed = 100;
+  for (const int k : {1, 2, 3, 64, 200}) {
+    const std::vector<InstrId> bad_values = {-1, k, INT_MAX, INT_MIN, k + 1};
+    for (int len = 0; len <= 13; ++len) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " len=" + std::to_string(len));
+      const InstructionStream clean = make_stream(Shape::Local, k, len, ++seed);
+      expect_counts_match_plain(clean, k);
+      const auto bad_at = [&](std::initializer_list<int> cycles) {
+        InstructionStream s = clean;
+        for (const int t : cycles)
+          s.seq[static_cast<std::size_t>(t)] =
+              bad_values[static_cast<std::size_t>(t) % bad_values.size()];
+        return s;
+      };
+      for (int t = 0; t < len; ++t) {
+        SCOPED_TRACE("bad at " + std::to_string(t));
+        expect_counts_match_plain(bad_at({t}), k);  // t = len-1: last cycle
+        if (t + 1 < len) expect_counts_match_plain(bad_at({t, t + 1}), k);
+      }
+      InstructionStream all_bad = clean;
+      for (std::size_t t = 0; t < all_bad.seq.size(); ++t)
+        all_bad.seq[t] = bad_values[t % bad_values.size()];
+      expect_counts_match_plain(all_bad, k);
+    }
+  }
+}
+
+// One id throughout bumps the same pair and issue counters every cycle: the
+// chain the count's interleaved tables break. A length that is not a
+// multiple of 4 leaves a tail for the per-cycle step.
+TEST(StreamCounts, ConstantStreamCountsEverySelfPair) {
+  for (const int k : {1, 64, 200}) {
+    const int len = 100003;
+    const InstructionStream s = make_stream(Shape::Constant, k, len, 7);
+    SCOPED_TRACE("k=" + std::to_string(k));
+    expect_counts_match_plain(s, k);
+    const StreamCounts c = count_stream(s, k);
+    const auto id = static_cast<std::size_t>(s.seq.front());
+    EXPECT_EQ(c.instr[id], static_cast<std::uint32_t>(len));
+    EXPECT_EQ(c.pairs[id * static_cast<std::size_t>(k) + id],
+              static_cast<std::uint32_t>(len - 1));
   }
 }
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "activity/analyzer.h"
+#include "activity/stream.h"
 #include "benchdata/rbench.h"
 #include "benchdata/workload.h"
 #include "clocktree/zskew.h"
@@ -145,17 +146,30 @@ void register_activity(Groups& g, bool quick) {
     }
   }
   // trace_long's shape (K = 64, 0.85 locality): the count pass over a long
-  // stream, which `activity.ids_counted` shows happening once per build.
+  // stream, which `activity.ids_counted` shows happening once per build,
+  // and strict validate_design's range check over the same stream.
   const int len = quick ? 400000 : 4000000;
-  g["activity"].add("activity/table_build/len=" + std::to_string(len), [len] {
-    auto rb = std::make_shared<benchdata::RBench>(synthetic_rbench(1024, 5));
-    auto wl =
-        std::make_shared<benchdata::Workload>(make_workload(*rb, 64, len, 5));
-    return [wl] {
-      const activity::ActivityAnalyzer an(wl->rtl, wl->stream);
-      perf::do_not_optimize(an);
-    };
-  });
+  const auto long_workload = [len] {
+    const benchdata::RBench rb = synthetic_rbench(1024, 5);
+    return std::make_shared<benchdata::Workload>(make_workload(rb, 64, len, 5));
+  };
+  g["activity"].add("activity/table_build/len=" + std::to_string(len),
+                    [long_workload] {
+                      auto wl = long_workload();
+                      return [wl] {
+                        const activity::ActivityAnalyzer an(wl->rtl,
+                                                            wl->stream);
+                        perf::do_not_optimize(an);
+                      };
+                    });
+  g["activity"].add("activity/scan_ids/len=" + std::to_string(len),
+                    [long_workload] {
+                      auto wl = long_workload();
+                      return [wl] {
+                        perf::do_not_optimize(
+                            activity::scan_stream_ids(wl->stream, 64));
+                      };
+                    });
 }
 
 // --- io: the parsers' text front end (guard::Lexer + io readers) -----------
