@@ -10,11 +10,11 @@
 #include "verify/invariants.h"
 
 /// \file common.h
-/// Shared setup for the paper gate and the extension studies: build a
-/// Design for an r-benchmark with the evaluation workload of section 5
-/// (20k-cycle stream, ~40% average module activity unless overridden), and
-/// route it under the verify invariant checker. Timing lives in
-/// `gcr_bench`, not here.
+/// Setup for the paper gate (`paper.cpp`): build a Design for an
+/// r-benchmark with the evaluation workload of section 5 (20k-cycle
+/// stream, ~40% average module activity unless overridden), and route it
+/// under the verify invariant checker. Timing lives in `gcr_bench`, not
+/// here.
 
 namespace gcr::bench {
 
@@ -46,7 +46,7 @@ inline Instance make_instance(const std::string& name, double activity = 0.4) {
 }
 
 /// Every bench route runs under the verify invariant checker: a violation
-/// throws verify::VerificationError and fails the binary.
+/// throws verify::VerificationError and fails the program.
 inline core::RouterResult route(const core::GatedClockRouter& router,
                                 const core::RouterOptions& opts) {
   return router.route(opts, verify::make_self_check(router));

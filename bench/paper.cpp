@@ -1,8 +1,9 @@
 /// \file paper.cpp
 /// The paper gate: regenerates Tables 1-4 and Figs. 3-6 (sections 3, 5 and
-/// 6), checks every claim against its band (paper_claims.h), pins the
-/// r1-r5 trees, and prints each table as the markdown block that
-/// EXPERIMENTS.md carries between `<!-- paper:NAME -->` markers.
+/// 6) and the extension studies, checks every claim against its band
+/// (paper_claims.h), pins the r1-r5 trees, and prints each table as the
+/// markdown block that EXPERIMENTS.md carries between `<!-- paper:NAME -->`
+/// markers.
 ///
 ///   paper [EXPERIMENTS.md]
 ///
@@ -12,6 +13,7 @@
 /// the given EXPERIMENTS.md does not carry verbatim. ctest runs it with
 /// the `paper` label.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -21,7 +23,10 @@
 #include "activity/brute_force.h"
 #include "benchdata/paper_example.h"
 #include "common.h"
+#include "eval/power.h"
 #include "eval/table.h"
+#include "eval/variation.h"
+#include "gating/controller_logic.h"
 #include "io/tree_io.h"
 #include "paper_claims.h"
 #include "serve/cache.h"
@@ -36,6 +41,9 @@ constexpr double kActivities[] = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 constexpr double kStrengths[] = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                  0.6, 0.7, 0.8, 0.9, 1.0};
 constexpr int kPartitions[] = {1, 4, 16, 64};
+constexpr double kSizingStrengths[] = {0.0, 0.3, 0.5, 0.7};
+constexpr double kSkewBounds[] = {0.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0};
+constexpr int kLogicPartitions[] = {1, 4, 16};
 
 /// The tables as the routes fill them, and the rows the claims check.
 struct Paper {
@@ -53,6 +61,21 @@ struct Paper {
   Table fig6{{"Bench", "k", "star WL (1e3)", "analytic (1e3)", "WL vs k=1",
               "1/sqrt(k)", "Ctrl W(S)", "Total W"}};
   Table trees{{"Bench", "buffered", "gated", "reduced"}};
+  Table ablation_cost{{"Bench", "order", "W total", "W(T)", "W(S)",
+                       "wirelen 1e3", "W vs NN"}};
+  Table ablation_sizing{{"red. strength", "sizing", "wirelen 1e3",
+                         "snake 1e3", "W total", "cell area 1e3",
+                         "max delay"}};
+  Table ablation_skew_bound{{"skew bound ps", "measured skew", "wirelen 1e3",
+                             "W total", "W vs bound=0"}};
+  Table controller_logic_cost{{"Bench", "k", "style", "enables", "OR cells",
+                               "logic area 1e3", "logic W pF",
+                               "enable-wire W pF"}};
+  Table variation_skew{{"style", "nominal delay", "mean skew", "p95 skew",
+                        "max skew", "skew/delay %",
+                        "power mW @200MHz/3.3V"}};
+  Table large_design{{"sinks", "style", "W total pF", "vs buffered", "gates",
+                      "skew"}};
 
   std::vector<Table4Row> table4_rows;
   std::vector<Fig3Row> fig3_rows;
@@ -60,6 +83,12 @@ struct Paper {
   std::vector<Fig5Row> fig5_rows;
   std::vector<Fig6Row> fig6_rows;
   std::vector<TreeHashes> tree_rows;
+  std::vector<TopologyRow> topology_rows;
+  std::vector<SizingRow> sizing_rows;
+  std::vector<SkewBoundRow> skew_bound_rows;
+  std::vector<LogicRow> logic_rows;
+  std::vector<VariationRow> variation_rows;
+  std::vector<LargeRow> large_rows;
 };
 
 std::uint64_t tree_hash(const ct::RoutedTree& tree) {
@@ -79,7 +108,188 @@ void add_fig4(Paper& p, double activity, const core::RouterResult& buf,
   p.fig4_rows.push_back({activity, bw, rw, floor});
 }
 
-/// Route every r-benchmark once; each figure reads the routes it needs.
+/// `ablation_cost`: the four merge orders under identical gate-reduced
+/// gating. `eq3` is the default route, whose topology is Eq. 3's.
+void add_topology_ablation(Paper& p, const std::string& name,
+                           const core::GatedClockRouter& router,
+                           const core::RouterResult& eq3) {
+  const auto route = [&](core::TopologyScheme scheme) {
+    core::RouterOptions opts;
+    opts.style = core::TreeStyle::GatedReduced;
+    opts.topology = scheme;
+    return bench::route(router, opts);
+  };
+  const auto mmm = route(core::TopologyScheme::Mmm);
+  const auto nn = route(core::TopologyScheme::NearestNeighbor);
+  const auto act = route(core::TopologyScheme::ActivityOnly);
+  const double nn_w = nn.swcap.total_swcap();
+  for (const auto& [r, order] : {std::pair{&mmm, "mmm"},
+                                 {&nn, "nearest-nbr"},
+                                 {&act, "activity"},
+                                 {&eq3, "min-swcap"}}) {
+    p.ablation_cost.add_row(
+        {name, order, Table::num(r->swcap.total_swcap(), 1),
+         Table::num(r->swcap.clock_swcap, 1),
+         Table::num(r->swcap.ctrl_swcap, 1),
+         Table::num(r->tree.total_wirelength() / 1e3, 0),
+         Table::num(r->swcap.total_swcap() / nn_w, 3)});
+  }
+  p.topology_rows.push_back({name, nn.tree.total_wirelength(),
+                             act.tree.total_wirelength(), nn_w,
+                             eq3.swcap.total_swcap()});
+}
+
+/// Wire an edge spends beyond the Manhattan distance to its parent.
+double snake_wire(const ct::RoutedTree& tree) {
+  double snake = 0.0;
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    const ct::RoutedNode& n = tree.node(id);
+    if (n.parent < 0) continue;
+    snake +=
+        n.edge_len - geom::manhattan_dist(n.loc, tree.node(n.parent).loc);
+  }
+  return snake;
+}
+
+/// `ablation_sizing`: the unit-gate route `unit` (made with `opts`) beside
+/// the same options with min-wire gate sizing.
+void add_sizing(Paper& p, const core::GatedClockRouter& router,
+                core::RouterOptions opts, double strength,
+                const core::RouterResult& unit) {
+  opts.gate_sizing = ct::GateSizing::MinWirelength;
+  const auto sized = bench::route(router, opts);
+  for (const auto& [r, sizing] :
+       {std::pair{&unit, "unit"}, {&sized, "min-wire"}}) {
+    p.ablation_sizing.add_row(
+        {Table::num(strength, 1), sizing,
+         Table::num(r->tree.total_wirelength() / 1e3, 0),
+         Table::num(snake_wire(r->tree) / 1e3, 0),
+         Table::num(r->swcap.total_swcap(), 1),
+         Table::num(r->swcap.cell_area / 1e3, 0),
+         Table::num(r->delays.max_delay, 0)});
+  }
+  p.sizing_rows.push_back({strength, snake_wire(unit.tree),
+                           snake_wire(sized.tree), unit.swcap.total_swcap(),
+                           sized.swcap.total_swcap()});
+}
+
+/// `ablation_skew_bound`: the gate-reduced tree under each skew budget;
+/// `zero` is the default (zero-skew) route.
+void add_skew_bounds(Paper& p, const core::GatedClockRouter& router,
+                     const core::RouterResult& zero) {
+  const double base_w = zero.swcap.total_swcap();
+  for (const double bound : kSkewBounds) {
+    core::RouterOptions opts;
+    opts.style = core::TreeStyle::GatedReduced;
+    opts.skew_bound = bound;
+    const auto r = bound == 0.0 ? zero : bench::route(router, opts);
+    const double w = r.swcap.total_swcap();
+    p.ablation_skew_bound.add_row(
+        {Table::num(bound, 0), Table::num(r.delays.skew(), 3),
+         Table::num(r.tree.total_wirelength() / 1e3, 1), Table::num(w, 1),
+         Table::num(w / base_w, 3)});
+    p.skew_bound_rows.push_back({bound, r.delays.skew(), w});
+  }
+}
+
+/// `controller_logic_cost`: flat vs hierarchical enable logic of the
+/// auto-tuned gate-reduced tree per partition count; `tuned` is k = 1.
+void add_controller_logic(Paper& p, const std::string& name,
+                          const bench::Instance& inst,
+                          const core::GatedClockRouter& router,
+                          const core::RouterResult& tuned) {
+  for (const int k : kLogicPartitions) {
+    const auto r =
+        k == 1 ? tuned
+               : bench::run_style(router, core::TreeStyle::GatedReduced, k,
+                                  /*auto_tune=*/true);
+    const gating::ControllerPlacement ctrl(inst.rb.die, k);
+    LogicRow row{name, k};
+    for (const auto style :
+         {gating::LogicStyle::Flat, gating::LogicStyle::Hierarchical}) {
+      const bool flat = style == gating::LogicStyle::Flat;
+      const auto rep = gating::synthesize_controller_logic(
+          r.tree, r.activity, router.analyzer(), ctrl, tech::TechParams{},
+          style);
+      p.controller_logic_cost.add_row(
+          {name, std::to_string(k), flat ? "flat" : "hierarchical",
+           std::to_string(rep.num_enables), std::to_string(rep.num_or_gates),
+           Table::num(rep.logic_area / 1e3, 0),
+           Table::num(rep.logic_swcap, 2),
+           Table::num(r.swcap.ctrl_swcap, 1)});
+      (flat ? row.flat_ors : row.hierarchical_ors) = rep.num_or_gates;
+    }
+    p.logic_rows.push_back(row);
+  }
+}
+
+/// `variation_skew`: 200 Monte-Carlo trials of each style's tree.
+void add_variation(Paper& p, const core::RouterResult& buf,
+                   const core::RouterResult& gated,
+                   const core::RouterResult& tuned) {
+  for (const auto& [r, style] : {std::pair{&buf, "buffered"},
+                                 {&gated, "gated"},
+                                 {&tuned, "gated+red"}}) {
+    eval::VariationSpec spec;
+    spec.trials = 200;
+    const eval::VariationReport rep =
+        eval::variation_analysis(r->tree, tech::TechParams{}, spec);
+    p.variation_skew.add_row(
+        {style, Table::num(r->delays.max_delay, 0),
+         Table::num(rep.mean_skew, 1), Table::num(rep.p95_skew, 1),
+         Table::num(rep.max_skew, 1),
+         Table::num(100.0 * rep.mean_skew_ratio, 2),
+         Table::num(eval::dynamic_power_mw(r->swcap.total_swcap()), 1)});
+    p.variation_rows.push_back({style, 100.0 * rep.mean_skew_ratio});
+  }
+}
+
+/// A synthetic design of `n` sinks beyond r5, with the section-5 workload.
+core::Design make_large_design(int n, double die_side) {
+  benchdata::RBenchSpec spec{"big", n, die_side, 0.005, 0.10,
+                             0xabcdef12345ull + static_cast<unsigned>(n)};
+  benchdata::RBench rb = benchdata::generate_rbench(spec);
+  benchdata::WorkloadSpec w;
+  w.num_instructions = 32;
+  w.num_clusters = std::max(16, n / 32);
+  w.target_activity = 0.4;
+  w.locality = 0.85;
+  w.stream_length = 20000;
+  benchdata::Workload wl = benchdata::generate_workload(w, rb.sinks, rb.die);
+  return core::Design{rb.die, rb.sinks, std::move(wl.rtl),
+                      std::move(wl.stream), {}};
+}
+
+/// `large_design`: buffered vs auto-tuned gate-reduced trees, both built
+/// by the clustered constructor, on 6k and 12k sinks.
+void add_large_designs(Paper& p) {
+  for (const auto& [n, die] : {std::pair{6000, 90000.0}, {12000, 128000.0}}) {
+    const core::GatedClockRouter router(make_large_design(n, die));
+    const auto route = [&](core::TreeStyle style) {
+      core::RouterOptions opts;
+      opts.style = style;
+      opts.clustered = true;
+      opts.auto_tune_reduction = style == core::TreeStyle::GatedReduced;
+      return bench::route(router, opts);
+    };
+    const auto buf = route(core::TreeStyle::Buffered);
+    const auto red = route(core::TreeStyle::GatedReduced);
+    const double bw = buf.swcap.total_swcap();
+    for (const auto& [r, style] :
+         {std::pair{&buf, "buffered"}, {&red, "gated+red"}}) {
+      p.large_design.add_row({std::to_string(n), style,
+                              Table::num(r->swcap.total_swcap(), 1),
+                              Table::num(r->swcap.total_swcap() / bw, 3),
+                              std::to_string(r->swcap.num_cells),
+                              Table::num(r->delays.skew(), 6)});
+    }
+    p.large_rows.push_back({n, bw, red.swcap.total_swcap(),
+                            std::max(buf.delays.skew(), red.delays.skew())});
+  }
+}
+
+/// Route every r-benchmark once; each figure and study reads the routes it
+/// needs.
 void compute(Paper& p) {
   using core::TreeStyle;
   for (const auto& spec : benchdata::rbench_specs()) {
@@ -155,8 +365,14 @@ void compute(Paper& p) {
              Table::num(r.swcap.total_area() / 1e6, 2)});
         p.fig5_rows.push_back({s, r.swcap.clock_swcap, r.swcap.ctrl_swcap,
                                r.swcap.total_area()});
+        if (std::count(std::begin(kSizingStrengths),
+                       std::end(kSizingStrengths), s))
+          add_sizing(p, router, opts, s, r);
       }
+      add_skew_bounds(p, router, red);
+      add_variation(p, buf, gated, tuned);
     }
+    if (name <= "r2") add_controller_logic(p, name, inst, router, tuned);
     if (name <= "r3") {  // r1-r3, Gated style, so G is fixed while k varies
       for (const int k : kPartitions) {
         const auto r =
@@ -175,8 +391,10 @@ void compute(Paper& p) {
              Table::num(r.swcap.total_swcap(), 1)});
         p.fig6_rows.push_back({name, k, ratio});
       }
+      add_topology_ablation(p, name, router, red);
     }
   }
+  add_large_designs(p);
 }
 
 Failures check_claims(const Paper& p) {
@@ -189,7 +407,14 @@ Failures check_claims(const Paper& p) {
         fig4_gated_floor(p.fig4_rows), fig5_ws_falls(p.fig5_rows),
         fig5_area_falls(p.fig5_rows), fig5_interior_minimum(p.fig5_rows),
         fig5_wt_rises(p.fig5_rows), fig6_sqrt_k(p.fig6_rows),
-        tree_hashes(p.tree_rows)})
+        tree_hashes(p.tree_rows), topology_activity_wire(p.topology_rows),
+        topology_eq3_near_nn(p.topology_rows),
+        sizing_full_gating(p.sizing_rows),
+        skew_bound_honored(p.skew_bound_rows),
+        skew_bound_w_falls(p.skew_bound_rows),
+        logic_sharing_pays(p.logic_rows), logic_sharing_erodes(p.logic_rows),
+        variation_skew_share(p.variation_rows),
+        large_reduced_ratio(p.large_rows), large_zero_skew(p.large_rows)})
     out.insert(out.end(), f.begin(), f.end());
   return out;
 }
@@ -282,7 +507,13 @@ int main(int argc, char** argv) {
     for (const auto& [name, table] :
          {std::pair{"table4", &p.table4}, {"fig3", &p.fig3},
           {"fig3_detail", &p.fig3_detail}, {"fig4", &p.fig4},
-          {"fig5", &p.fig5}, {"fig6", &p.fig6}, {"trees", &p.trees}})
+          {"fig5", &p.fig5}, {"fig6", &p.fig6}, {"trees", &p.trees},
+          {"ablation_cost", &p.ablation_cost},
+          {"ablation_sizing", &p.ablation_sizing},
+          {"ablation_skew_bound", &p.ablation_skew_bound},
+          {"controller_logic_cost", &p.controller_logic_cost},
+          {"variation_skew", &p.variation_skew},
+          {"large_design", &p.large_design}})
       blocks.push_back(block(name, *table));
     for (const auto& b : blocks) std::cout << b.text << "\n\n";
 

@@ -48,15 +48,11 @@ mkdir -p "$demo"
   2>&1 | tee "$OUT/gcr_bench.txt"
 "$BUILD"/tools/gcr_benchdiff --validate "$OUT"/BENCH_*.json
 
-# The paper gate (every claim in its band, the tables EXPERIMENTS.md
-# carries) and the extension studies, each routed under the invariant
-# checker; a failed claim or check aborts the reproduction.
-for b in "$BUILD"/bench/*; do
-  [ -x "$b" ] && [ -f "$b" ] || continue
-  name="$(basename "$b")"
-  echo "== $name =="
-  "$b" 2>&1 | tee "$OUT/$name.txt"
-done
+# The paper gate: every table, figure and extension study routed under the
+# invariant checker, every claim in its band, and every block EXPERIMENTS.md
+# carries equal to the printed one. A failed claim, check or stale block
+# aborts the reproduction.
+"$BUILD"/bench/paper "$(dirname "$0")"/../EXPERIMENTS.md 2>&1 | tee "$OUT/paper.txt"
 
 "$BUILD"/examples/layout_svg "$OUT"
 echo "All outputs in $OUT/"

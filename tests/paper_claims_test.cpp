@@ -58,6 +58,44 @@ std::vector<Fig6Row> fig6() {
           {"r3", 4, 0.521},  {"r3", 16, 0.255}, {"r3", 64, 0.123}};
 }
 
+std::vector<TopologyRow> topology() {
+  // wirelength NN, activity-only [1e3 lambda]; W NN, Eq. 3 [pF]
+  return {{"r1", 480, 923, 77.7, 74.8},
+          {"r2", 1137, 2707, 181.8, 184.2},
+          {"r3", 1666, 4380, 270.7, 269.7}};
+}
+
+std::vector<SizingRow> sizing() {
+  // strength, snake unit, min-wire [1e3 lambda]; W unit, min-wire [pF]
+  return {{0.0, 18, 7, 130.1, 124.3},
+          {0.3, 112, 100, 91.3, 93.2},
+          {0.5, 40, 36, 74.8, 76.1},
+          {0.7, 24, 23, 78.1, 79.9}};
+}
+
+std::vector<SkewBoundRow> skew_bound() {
+  // budget, measured skew [ps], W [pF]
+  return {{0, 0.0, 74.8},     {2, 0.239, 74.8},  {5, 3.932, 74.6},
+          {10, 9.631, 72.2},  {25, 23.152, 71.5}, {50, 30.471, 71.4},
+          {100, 61.792, 71.0}};
+}
+
+std::vector<LogicRow> logic() {
+  // ORs flat, hierarchical
+  return {{"r1", 1, 520, 256},   {"r1", 4, 520, 352},
+          {"r1", 16, 520, 457},  {"r2", 1, 1076, 586},
+          {"r2", 4, 1076, 678},  {"r2", 16, 1490, 1107}};
+}
+
+std::vector<VariationRow> variation() {
+  return {{"buffered", 17.78}, {"gated", 17.36}, {"gated+red", 16.40}};
+}
+
+std::vector<LargeRow> large() {
+  // sinks, W buffered, reduced [pF], skew [ps]
+  return {{6000, 2476.3, 1676.5, 0.0}, {12000, 5012.9, 3067.3, 0.0}};
+}
+
 /// `check` fails exactly once on `rows`, naming `claim`.
 template <typename Check, typename Rows>
 void expect_one_failure(Check check, const Rows& rows,
@@ -80,7 +118,12 @@ TEST(PaperClaims, CommittedRowsPass) {
         fig4_gated_floor(fig4()), fig5_ws_falls(fig5()),
         fig5_area_falls(fig5()), fig5_interior_minimum(fig5()),
         fig5_wt_rises(fig5()), fig6_sqrt_k(fig6()),
-        tree_hashes(pinned_tree_hashes())})
+        tree_hashes(pinned_tree_hashes()), topology_activity_wire(topology()),
+        topology_eq3_near_nn(topology()), sizing_full_gating(sizing()),
+        skew_bound_honored(skew_bound()), skew_bound_w_falls(skew_bound()),
+        logic_sharing_pays(logic()), logic_sharing_erodes(logic()),
+        variation_skew_share(variation()), large_reduced_ratio(large()),
+        large_zero_skew(large())})
     EXPECT_TRUE(f.empty()) << f.front();
 }
 
@@ -150,4 +193,61 @@ TEST(PaperClaims, Trees) {
   rows = pinned_tree_hashes();
   rows.pop_back();
   expect_one_failure(tree_hashes, rows, "Trees: designs");
+}
+
+TEST(PaperClaims, TopologyAblation) {
+  auto rows = topology();
+  rows[1].activity_wirelength = 1600;  // 1.41x
+  expect_one_failure(topology_activity_wire, rows,
+                     "Topology ablation r2: activity-only");
+  rows = topology();
+  rows[2].eq3_w = 285.0;  // 1.053
+  expect_one_failure(topology_eq3_near_nn, rows, "Topology ablation r3: Eq. 3");
+}
+
+TEST(PaperClaims, GateSizing) {
+  auto rows = sizing();
+  rows[0].sized_snake = 19;
+  expect_one_failure(sizing_full_gating, rows,
+                     "Gate sizing strength 0: min-wire snake");
+  rows = sizing();
+  rows[0].sized_w = 131.0;
+  expect_one_failure(sizing_full_gating, rows,
+                     "Gate sizing strength 0: min-wire W");
+  rows = sizing();
+  rows.erase(rows.begin());
+  expect_one_failure(sizing_full_gating, rows, "Gate sizing: rows");
+}
+
+TEST(PaperClaims, SkewBound) {
+  auto rows = skew_bound();
+  rows[5].skew = 50.5;
+  expect_one_failure(skew_bound_honored, rows, "Skew budget 50 ps: measured");
+  rows = skew_bound();
+  rows[4].w = 72.3;
+  expect_one_failure(skew_bound_w_falls, rows, "Skew budget 25 ps: W");
+}
+
+TEST(PaperClaims, ControllerLogic) {
+  auto rows = logic();
+  rows[3].hierarchical_ors = 1100;
+  expect_one_failure(logic_sharing_pays, rows, "Controller logic r2 k=1");
+  rows = logic();
+  rows[2].hierarchical_ors = 300;  // r1 k=16 below k=4
+  expect_one_failure(logic_sharing_erodes, rows, "Controller logic r1 k=16");
+}
+
+TEST(PaperClaims, Variation) {
+  auto rows = variation();
+  rows[2].skew_pct = 21.0;
+  expect_one_failure(variation_skew_share, rows, "Variation gated+red");
+}
+
+TEST(PaperClaims, LargeDesign) {
+  auto rows = large();
+  rows[0].reduced_w = 1800.0;  // 0.727
+  expect_one_failure(large_reduced_ratio, rows, "Large design 6000 sinks");
+  rows = large();
+  rows[1].max_skew = 0.5;
+  expect_one_failure(large_zero_skew, rows, "Large design 12000 sinks: skew");
 }
