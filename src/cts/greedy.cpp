@@ -345,9 +345,12 @@ class GreedyEngine {
           obs::Registry::global().counter("cts.index_bucket_skips");
       static obs::Counter& node_bounds =
           obs::Registry::global().counter("cts.index_node_bounds");
+      static obs::Counter& quads =
+          obs::Registry::global().counter("cts.index_quads");
       queries.inc();
       if (qs.bucket_skips > 0) bucket_skips.inc(qs.bucket_skips);
       if (qs.node_bounds > 0) node_bounds.inc(qs.node_bounds);
+      if (qs.quads > 0) quads.inc(qs.quads);
     }
   }
 

@@ -63,6 +63,15 @@
 /// (it is monotone in each coefficient), so a subtree whose delay range
 /// sits far from the query's is priced out even at distance 0.
 ///
+/// Nodes are priced four siblings at a time: price_quad evaluates every
+/// lane of a Quad in two 2-double vector halves (SSE2 at the baseline
+/// x86-64 flags), with lane selects in place of the scalar formulas'
+/// branches and the same IEEE operations in the same order, so each lane
+/// is bitwise the per-node value. A half skips the snake square root, the
+/// per-side corner divisions or the even-split corners only when neither
+/// of its lanes needs them. Building route_large's design (16,384 sinks)
+/// prices 2,993,947 nodes in 930,639 passes, 3.2 lanes each.
+///
 /// The walk starts at the query and climbs. It scans the query's own
 /// bucket first -- the distance-0 neighborhood, which arms the incumbent
 /// before any node is priced. Then, one level at a time from the buckets
@@ -126,61 +135,25 @@ class PartnerIndex {
   };
 
   /// Telemetry for one find_best call: exact evaluations paid, discarded
-  /// pyramid nodes (all levels), and pyramid nodes priced (node_bound
-  /// calls, all levels).
+  /// pyramid nodes (all levels), pyramid nodes priced (nonempty lanes the
+  /// walk reads a bound for, all levels), and price_quad calls.
   struct QueryStats {
     std::uint64_t evaluated{0};
     std::uint64_t bucket_skips{0};
     std::uint64_t node_bounds{0};
+    std::uint64_t quads{0};
   };
 
-  /// `tech` must outlive the index (only wire_cap is used, and only for
-  /// Metric::SwitchedCap). `capacity` bounds the node ids ever stored;
-  /// `expected` sizes the initial grid (the number of initial inserts).
-  /// The grid covers [xlo, xlo+w] x [ylo, ylo+h].
-  void init(Metric metric, const tech::TechParams* tech, int capacity,
-            int expected, double xlo, double ylo, double w, double h);
-
-  void insert(int id, const Item& item);
-  void remove(int id);
-  [[nodiscard]] bool contains(int id) const {
-    return cell_of_[static_cast<std::size_t>(id)] >= 0;
-  }
-  [[nodiscard]] int size() const { return size_; }
-  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
-
-  /// Re-bucket every item on a grid re-derived from the live size when the
-  /// population has halved since the last rebuild (aggregates are already
-  /// exact; only the grid dimension changes). Returns true when a rebuild
-  /// happened. Call between merges, never during queries.
-  bool maybe_rebuild();
-
-  /// True when every pyramid aggregate equals a from-scratch recomputation
-  /// over the stored items. An O(size + nodes) consistency check for tests.
-  [[nodiscard]] bool aggregates_exact() const;
-
-  /// Exact best partner of `id` (which must be stored): the (cost,
-  /// partner-id) argmin of `eval` over every other stored item, ties to
-  /// the smallest id. `eval(j, incumbent, has_incumbent)` returns the
-  /// exact pair cost, or +infinity to signal that its own lower bound
-  /// proved the pair strictly worse than `incumbent` (it must never do so
-  /// when `has_incumbent` is false, and never prune a pair that could tie
-  /// the incumbent). Returns partner -1 iff `id` is the only item.
-  template <class Eval>
-  [[nodiscard]] Best find_best(int id, Eval&& eval,
-                               QueryStats* stats = nullptr) const;
-
- private:
   /// Four sibling pyramid nodes stored struct-of-arrays, one lane each, so
-  /// a descent step reads and prices a node's children in one straight
-  /// pass. Each lane holds the exact aggregates over its subtree (level 0:
+  /// price_quad prices a node's children in one vector pass. Each lane holds the exact aggregates over its subtree (level 0:
   /// one bucket; level k: the four level-(k-1) lanes of one quad). The
   /// children of node (x, y) at level k are quad y * level_dim_[k] + x of
   /// level k-1 (see quad_of), lane 2*(y'&1) + (x'&1) for child (x', y') --
   /// the siblings' (y, x) order. An empty lane (including a lane past an
   /// odd-width grid's edge, which never fills) holds the identities of its
-  /// reductions.
-  struct Quad {
+  /// reductions. The 16-byte alignment puts every double array on a
+  /// 16-byte boundary, so price_quad reads lane pairs with aligned loads.
+  struct alignas(16) Quad {
     int count[4];
     double min_self[4];
     double min_pf[4];
@@ -254,6 +227,64 @@ class PartnerIndex {
     }
   };
 
+  /// The priced lower bounds of all four lanes of `n` against query item
+  /// `q`, written to `out` (see the file comment); an empty lane prices to
+  /// +infinity. The per-side wire floors come from the balance point's
+  /// monotonicity: at fixed distance it is increasing in the partner's `a`
+  /// and a monotone Mobius function of the partner's `b`, so its range
+  /// over the node's coefficient envelope is spanned by the corners (the
+  /// extremes are picked by cross-multiplied corner fractions, then one
+  /// division). Clamping the corner extremes into [0, d] lower-bounds each
+  /// side's length (snake cases land on the clamp boundaries
+  /// conservatively), the total keeps the snake floor
+  /// (ct::merge_wire_total with the envelope-nearest `a` and max_b), and
+  /// the slack between the total and the two per-side floors is priced at
+  /// min(p_floor) -- a tiny LP solved in closed form. When the query itself
+  /// carries the floor weight (q.p_floor <= the lane's min p_floor) the
+  /// per-side refine cannot beat pricing the whole total at p_floor_q, and
+  /// the lane takes that value instead. Every branch of the scalar formulas
+  /// is a lane select, so each lane is bitwise the value the per-node
+  /// formulas give (tests/partner_index_test.cpp keeps them as the oracle).
+  /// Slackened; compare with strict `>` only.
+  void price_quad(const Item& q, const Quad& n, double out[4]) const;
+
+  /// `tech` must outlive the index (only wire_cap is used, and only for
+  /// Metric::SwitchedCap). `capacity` bounds the node ids ever stored;
+  /// `expected` sizes the initial grid (the number of initial inserts).
+  /// The grid covers [xlo, xlo+w] x [ylo, ylo+h].
+  void init(Metric metric, const tech::TechParams* tech, int capacity,
+            int expected, double xlo, double ylo, double w, double h);
+
+  void insert(int id, const Item& item);
+  void remove(int id);
+  [[nodiscard]] bool contains(int id) const {
+    return cell_of_[static_cast<std::size_t>(id)] >= 0;
+  }
+  [[nodiscard]] int size() const { return size_; }
+  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
+
+  /// Re-bucket every item on a grid re-derived from the live size when the
+  /// population has halved since the last rebuild (aggregates are already
+  /// exact; only the grid dimension changes). Returns true when a rebuild
+  /// happened. Call between merges, never during queries.
+  bool maybe_rebuild();
+
+  /// True when every pyramid aggregate equals a from-scratch recomputation
+  /// over the stored items. An O(size + nodes) consistency check for tests.
+  [[nodiscard]] bool aggregates_exact() const;
+
+  /// Exact best partner of `id` (which must be stored): the (cost,
+  /// partner-id) argmin of `eval` over every other stored item, ties to
+  /// the smallest id. `eval(j, incumbent, has_incumbent)` returns the
+  /// exact pair cost, or +infinity to signal that its own lower bound
+  /// proved the pair strictly worse than `incumbent` (it must never do so
+  /// when `has_incumbent` is false, and never prune a pair that could tie
+  /// the incumbent). Returns partner -1 iff `id` is the only item.
+  template <class Eval>
+  [[nodiscard]] Best find_best(int id, Eval&& eval,
+                               QueryStats* stats = nullptr) const;
+
+ private:
   /// Bound on the pyramid height (sizes the descent stack): the grid
   /// dimension never exceeds sqrt(INT_MAX / 2) < 2^15, and each level
   /// halves it (ceil) until 1x1.
@@ -295,94 +326,6 @@ class PartnerIndex {
             tech_->wire_cap(s.len_a) * q.p_floor +
             tech_->wire_cap(s.len_b) * j.p_floor) *
            kSlack;
-  }
-
-  /// The priced lower bound of node `k` of quad `n` against query item `q`
-  /// (see file comment); the node must be nonempty. The per-side wire floors
-  /// come from the balance point's monotonicity: at fixed distance it is
-  /// increasing in the partner's `a` and a monotone Mobius function of the
-  /// partner's `b`, so its range over the node's coefficient envelope is
-  /// spanned by the corners. Clamping the corner extremes into [0, d]
-  /// lower-bounds each side's length (snake cases land on the clamp
-  /// boundaries conservatively), the total keeps the snake floor
-  /// (ct::merge_wire_total with the envelope-nearest `a` and max_b), and
-  /// the slack between the total and the two per-side floors is priced at
-  /// min(p_floor) -- a tiny LP solved in closed form.
-  [[nodiscard]] double node_bound(const Item& q, const Quad& n, int k) const {
-    const double d_rect =
-        rect_dist(q.center, n.bx0[k], n.by0[k], n.bx1[k], n.by1[k]);
-    const double d = std::max(0.0, d_rect - q.reach - n.max_reach[k]);
-    if (metric_ == Metric::Distance) return d * kSlack;
-    const ct::BranchCoeffs qc{q.a_coef, q.b_coef};
-    const double total_lb = ct::merge_wire_total(
-        qc, {std::clamp(q.a_coef, n.min_a[k], n.max_a[k]), n.max_b[k]}, d,
-        rc_);
-    // When the query itself carries the floor weight, the per-side refine
-    // cannot beat pricing the whole span at p_floor_q, so this path skips
-    // the corner divisions. It is the minority: on route_large 2,153,274
-    // of 2,993,844 node bounds take the per-side path below.
-    if (q.p_floor <= n.min_pf[k])
-      return (q.self_cost + n.min_self[k] +
-              tech_->wire_cap(total_lb) * q.p_floor) *
-             kSlack;
-    const double len_a_lb =
-        std::clamp(min_balance_point(qc, n, k, d), 0.0, d);
-    const double len_b_lb =
-        std::clamp(d - max_balance_point(qc, n, k, d), 0.0, d);
-    const double extra =
-        std::max(0.0, total_lb - len_a_lb - len_b_lb);
-    return (q.self_cost + n.min_self[k] +
-            tech_->wire_cap(len_a_lb) * q.p_floor +
-            tech_->wire_cap(len_b_lb) * n.min_pf[k] +
-            tech_->wire_cap(extra) * std::min(q.p_floor, n.min_pf[k])) *
-           kSlack;
-  }
-
-  /// Extremes of the balance point over the node's coefficient envelope
-  /// at distance `d`. The point is increasing in the partner's `a` and
-  /// monotone (Mobius) in the partner's `b`, so the extremes sit at
-  /// corners: min at a = min_a, max at a = max_a, each with b picked by
-  /// comparing the two corner fractions via cross-multiplication (both
-  /// denominators are positive) -- one division instead of two. The
-  /// degenerate all-nonpositive-denominator case falls back to
-  /// balance_point's even split.
-  [[nodiscard]] double min_balance_point(const ct::BranchCoeffs& qc,
-                                         const Quad& n, int k,
-                                         double d) const {
-    const double base = n.min_a[k] - qc.a + 0.5 * rc_ * d * d;
-    const double n1 = base + d * n.min_b[k];
-    const double n2 = base + d * n.max_b[k];
-    const double d1 = qc.b + n.min_b[k] + rc_ * d;
-    const double d2 = qc.b + n.max_b[k] + rc_ * d;
-    if (d1 <= 0.0)
-      return std::min(
-          ct::balance_point(qc, {n.min_a[k], n.min_b[k]}, d, rc_),
-          ct::balance_point(qc, {n.min_a[k], n.max_b[k]}, d, rc_));
-    return n1 * d2 <= n2 * d1 ? n1 / d1 : n2 / d2;
-  }
-
-  [[nodiscard]] double max_balance_point(const ct::BranchCoeffs& qc,
-                                         const Quad& n, int k,
-                                         double d) const {
-    const double base = n.max_a[k] - qc.a + 0.5 * rc_ * d * d;
-    const double n1 = base + d * n.min_b[k];
-    const double n2 = base + d * n.max_b[k];
-    const double d1 = qc.b + n.min_b[k] + rc_ * d;
-    const double d2 = qc.b + n.max_b[k] + rc_ * d;
-    if (d1 <= 0.0)
-      return std::max(
-          ct::balance_point(qc, {n.max_a[k], n.min_b[k]}, d, rc_),
-          ct::balance_point(qc, {n.max_a[k], n.max_b[k]}, d, rc_));
-    return n1 * d2 >= n2 * d1 ? n1 / d1 : n2 / d2;
-  }
-
-  /// Manhattan distance from `p` to the (axis-aligned, chip-plane)
-  /// rectangle [x0,x1] x [y0,y1]; 0 when inside.
-  static double rect_dist(const geom::Point& p, double x0, double y0,
-                          double x1, double y1) {
-    const double dx = std::max({0.0, x0 - p.x, p.x - x1});
-    const double dy = std::max({0.0, y0 - p.y, p.y - y1});
-    return dx + dy;
   }
 
   /// Mirrors the greedy engine's kLbSlack: bounds and exact costs come
@@ -449,20 +392,28 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
   Visit stack[3 * kMaxLevels + 1];
   int depth = 0;
   std::uint64_t node_bounds = 0;
+  std::uint64_t quads = 0;
 
   /// Price the nonempty lanes of `c` (the level-`level` nodes whose
-  /// top-left sibling is (x0, y0)) other than `skip`, and push the
-  /// survivors cheapest bound first; ties keep lane order, i.e. (y, x). A
-  /// lane already strictly dominated is discarded here instead of when
-  /// popped -- the incumbent only improves, so the pop would discard it too.
+  /// top-left sibling is (x0, y0)) other than `skip` in one price_quad
+  /// pass, and push the survivors cheapest bound first; ties keep lane
+  /// order, i.e. (y, x). A lane already strictly dominated is discarded
+  /// here instead of when popped -- the incumbent only improves, so the pop
+  /// would discard it too.
   const auto push_lanes = [&](const Quad& c, int level, int x0, int y0,
                               int skip) {
+    unsigned live = 0;
+    for (int k = 0; k < 4; ++k)
+      if (k != skip && c.count[k] != 0) live |= 1u << k;
+    if (live == 0) return;
+    double bound[4];
+    price_quad(q, c, bound);
+    ++quads;
     Visit kids[4];
     int nk = 0;
     for (int k = 0; k < 4; ++k) {
-      if (k == skip || c.count[k] == 0) continue;
-      const Visit kid{node_bound(q, c, k), level, x0 + (k & 1),
-                      y0 + (k >> 1)};
+      if ((live >> k & 1u) == 0) continue;
+      const Visit kid{bound[k], level, x0 + (k & 1), y0 + (k >> 1)};
       ++node_bounds;
       if (best.partner >= 0 && kid.bound > best.cost) {
         ++node_skips;
@@ -514,6 +465,7 @@ PartnerIndex::Best PartnerIndex::find_best(int id, Eval&& eval,
     stats->evaluated += evaluated;
     stats->bucket_skips += node_skips;
     stats->node_bounds += node_bounds;
+    stats->quads += quads;
   }
   return best;
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <vector>
@@ -27,7 +29,9 @@
 /// because the query never misses a minimum and never loses a tie. After
 /// every step the pyramid aggregates must also equal a from-scratch
 /// recomputation: a stale (merely conservative) bound stays exact but
-/// prunes less, so only this check catches it.
+/// prunes less, so only this check catches it. The four-lane node pricing
+/// (PartnerIndex::price_quad) is also held bitwise to the scalar per-node
+/// formulas it replaced, kept below as the oracle.
 
 namespace gcr {
 namespace {
@@ -401,12 +405,182 @@ TEST(PartnerIndex, NodeBoundsPerQueryStayWithinBudget) {
       obs::Registry::global().counter("cts.index_queries").value();
   const std::uint64_t node_bounds =
       obs::Registry::global().counter("cts.index_node_bounds").value();
+  const std::uint64_t quads =
+      obs::Registry::global().counter("cts.index_quads").value();
   obs::set_metrics_enabled(false);
   ASSERT_TRUE(r.topo.valid());
   EXPECT_EQ(queries, 20094u);
+  // Every price_quad pass prices between one and four of its lanes.
+  EXPECT_LE(quads, node_bounds);
+  EXPECT_GE(4 * quads, node_bounds);
   EXPECT_LE(static_cast<double>(node_bounds) / static_cast<double>(queries),
             1079605.0 / 20094.0 * 1.02)
       << node_bounds << " node bounds over " << queries << " queries";
+}
+
+/// The scalar per-node bound the walk priced with before price_quad, one
+/// lane at a time: price_quad must reproduce it bit for bit on every
+/// nonempty lane, so the walk, its counters and every tree stay as they
+/// were. `paths` records which branches a call took, so the test can show
+/// it reached each of them.
+struct OraclePaths {
+  int even_split = 0;  ///< a corner denominator <= 0 (balance_point's 0.5 d)
+  int snake = 0;       ///< merge_wire_total's snake branch
+  int whole = 0;       ///< q.p_floor <= min p_floor: whole-wire pricing
+  int per_side = 0;
+  int touching = 0;    ///< reaches cover the bbox distance (d == 0)
+};
+
+double oracle_balance_extreme(const ct::BranchCoeffs& qc, double a,
+                              double min_b, double max_b, double d,
+                              double rc, bool lowest, OraclePaths& paths) {
+  const double base = a - qc.a + 0.5 * rc * d * d;
+  const double n1 = base + d * min_b;
+  const double n2 = base + d * max_b;
+  const double d1 = qc.b + min_b + rc * d;
+  const double d2 = qc.b + max_b + rc * d;
+  if (d1 <= 0.0) {
+    ++paths.even_split;
+    const double p1 = ct::balance_point(qc, {a, min_b}, d, rc);
+    const double p2 = ct::balance_point(qc, {a, max_b}, d, rc);
+    return lowest ? std::min(p1, p2) : std::max(p1, p2);
+  }
+  if (lowest) return n1 * d2 <= n2 * d1 ? n1 / d1 : n2 / d2;
+  return n1 * d2 >= n2 * d1 ? n1 / d1 : n2 / d2;
+}
+
+double oracle_node_bound(const cts::PartnerIndex::Item& q,
+                         const cts::PartnerIndex::Quad& n, int k,
+                         cts::PartnerIndex::Metric metric,
+                         const tech::TechParams& tech, OraclePaths& paths) {
+  constexpr double kSlack = 1.0 - 1e-9;
+  const double rc = tech.unit_res * tech.unit_cap;
+  const double dx =
+      std::max({0.0, n.bx0[k] - q.center.x, q.center.x - n.bx1[k]});
+  const double dy =
+      std::max({0.0, n.by0[k] - q.center.y, q.center.y - n.by1[k]});
+  const double d = std::max(0.0, dx + dy - q.reach - n.max_reach[k]);
+  if (d == 0.0) ++paths.touching;
+  if (metric == cts::PartnerIndex::Metric::Distance) return d * kSlack;
+  const ct::BranchCoeffs qc{q.a_coef, q.b_coef};
+  const ct::BranchCoeffs nearest{
+      std::clamp(q.a_coef, n.min_a[k], n.max_a[k]), n.max_b[k]};
+  const double total_lb = ct::merge_wire_total(qc, nearest, d, rc);
+  if (total_lb != d) ++paths.snake;
+  if (q.p_floor <= n.min_pf[k]) {
+    ++paths.whole;
+    return (q.self_cost + n.min_self[k] +
+            tech.wire_cap(total_lb) * q.p_floor) *
+           kSlack;
+  }
+  ++paths.per_side;
+  const double len_a_lb = std::clamp(
+      oracle_balance_extreme(qc, n.min_a[k], n.min_b[k], n.max_b[k], d, rc,
+                             true, paths),
+      0.0, d);
+  const double len_b_lb = std::clamp(
+      d - oracle_balance_extreme(qc, n.max_a[k], n.min_b[k], n.max_b[k], d,
+                                 rc, false, paths),
+      0.0, d);
+  const double extra = std::max(0.0, total_lb - len_a_lb - len_b_lb);
+  return (q.self_cost + n.min_self[k] + tech.wire_cap(len_a_lb) * q.p_floor +
+          tech.wire_cap(len_b_lb) * n.min_pf[k] +
+          tech.wire_cap(extra) * std::min(q.p_floor, n.min_pf[k])) *
+         kSlack;
+}
+
+/// One random item for the pricing oracle. `regime` picks the corner the
+/// item stresses: 0 the engine's usual ranges, 1 negative b (corner
+/// denominators <= 0), 2 delay gaps far beyond any in-range split (snake
+/// lanes), 3 a coarse lattice where exact ties (gap 0, a denominator of
+/// exactly 0, q.p_floor == min p_floor) happen constantly.
+cts::PartnerIndex::Item oracle_item(std::mt19937_64& rng, int regime) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  cts::PartnerIndex::Item it;
+  it.center = {1000.0 * u(rng), 1000.0 * u(rng)};
+  it.reach = 30.0 * u(rng);
+  it.self_cost = 4.0 * u(rng);
+  it.p_floor = 0.005 + u(rng);
+  it.a_coef = 60.0 * u(rng);
+  it.b_coef = 0.01 + 0.09 * u(rng);
+  if (regime == 1) it.b_coef = -0.5 + 0.6 * u(rng);
+  if (regime == 2) it.a_coef = 5000.0 * u(rng);
+  if (regime == 3) {
+    it.center = {250.0 * std::floor(4.0 * u(rng)),
+                 250.0 * std::floor(4.0 * u(rng))};
+    it.reach = 0.0;
+    it.p_floor = u(rng) < 0.5 ? 0.25 : 0.5;
+    it.a_coef = u(rng) < 0.5 ? 0.0 : 10.0;
+    it.b_coef = 0.05 * (std::floor(3.0 * u(rng)) - 1.0);
+  }
+  return it;
+}
+
+/// Price seeded random quads with price_quad and require every nonempty
+/// lane to be bitwise the oracle's value and every empty lane +infinity.
+/// One lane of every other quad holds the query itself, like the ancestor
+/// lane the walk skips. Returns the branches the oracle took.
+OraclePaths expect_quads_match_oracle(cts::PartnerIndex::Metric metric,
+                                      const tech::TechParams& tech,
+                                      std::uint64_t seed) {
+  cts::PartnerIndex index;
+  index.init(metric, &tech, 4, 1, 0.0, 0.0, 1000.0, 1000.0);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> regimes(0, 3);
+  std::uniform_int_distribution<int> members(0, 3);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  OraclePaths paths;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int regime = regimes(rng);
+    cts::PartnerIndex::Item q = oracle_item(rng, regime);
+    // Now and then a query whose reach covers every bbox distance.
+    if (regime != 3 && u(rng) < 0.1) q.reach = 2000.0;
+    cts::PartnerIndex::Quad n;
+    for (int k = 0; k < 4; ++k)
+      for (int m = members(rng); m > 0; --m)
+        n.absorb(k, oracle_item(rng, regime));
+    if (trial % 2 == 0) n.absorb(trial / 2 % 4, q);
+    double got[4];
+    index.price_quad(q, n, got);
+    for (int k = 0; k < 4; ++k) {
+      if (n.count[k] == 0) {
+        EXPECT_EQ(got[k], kInf) << "trial " << trial << " lane " << k;
+        continue;
+      }
+      const double want = oracle_node_bound(q, n, k, metric, tech, paths);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(want))
+          << "trial " << trial << " lane " << k << ": " << got[k]
+          << " vs oracle " << want;
+    }
+  }
+  return paths;
+}
+
+TEST(PartnerIndex, QuadPricingIsBitwiseTheScalarNodeBound) {
+  const std::uint64_t seed = gcr::test::fuzz_seeds({29})[0];
+  tech::TechParams tech;
+  const OraclePaths sc = expect_quads_match_oracle(
+      cts::PartnerIndex::Metric::SwitchedCap, tech, seed);
+  EXPECT_GT(sc.even_split, 0);
+  EXPECT_GT(sc.snake, 0);
+  EXPECT_GT(sc.whole, 0);
+  EXPECT_GT(sc.per_side, 0);
+  EXPECT_GT(sc.touching, 0);
+
+  // rc = 0: the snake length is linear and the balance point has no
+  // quadratic term.
+  tech::TechParams no_rc;
+  no_rc.unit_res = 0.0;
+  const OraclePaths flat = expect_quads_match_oracle(
+      cts::PartnerIndex::Metric::SwitchedCap, no_rc, seed + 1);
+  EXPECT_GT(flat.even_split, 0);
+  EXPECT_GT(flat.snake, 0);
+  EXPECT_GT(flat.per_side, 0);
+
+  const OraclePaths dist = expect_quads_match_oracle(
+      cts::PartnerIndex::Metric::Distance, tech, seed + 2);
+  EXPECT_GT(dist.touching, 0);
 }
 
 TEST(PartnerIndex, RemoveThenReinsertSameCoordinateIsExact) {
