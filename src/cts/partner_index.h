@@ -69,8 +69,9 @@
 /// branches and the same IEEE operations in the same order, so each lane
 /// is bitwise the per-node value. A half skips the snake square root, the
 /// per-side corner divisions or the even-split corners only when neither
-/// of its lanes needs them. Building route_large's design (16,384 sinks)
-/// prices 2,993,947 nodes in 930,639 passes, 3.2 lanes each.
+/// of its lanes needs them. Routing route_large's design (16,384 sinks,
+/// generation order) prices 2,993,947 nodes in 930,639 passes, 3.2 lanes
+/// each.
 ///
 /// The walk starts at the query and climbs. It scans the query's own
 /// bucket first -- the distance-0 neighborhood, which arms the incumbent
