@@ -145,8 +145,45 @@ class PartnerIndex {
     std::uint64_t quads{0};
   };
 
+  /// `tech` must outlive the index (only its wire RC is used, and only for
+  /// Metric::SwitchedCap). `capacity` bounds the node ids ever stored;
+  /// `expected` sizes the initial grid (the number of initial inserts).
+  /// The grid covers [xlo, xlo+w] x [ylo, ylo+h].
+  void init(Metric metric, const tech::TechParams* tech, int capacity,
+            int expected, double xlo, double ylo, double w, double h);
+
+  void insert(int id, const Item& item);
+  void remove(int id);
+  [[nodiscard]] bool contains(int id) const {
+    return cell_of_[static_cast<std::size_t>(id)] >= 0;
+  }
+  [[nodiscard]] int size() const { return size_; }
+  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
+
+  /// Re-bucket every item on a grid re-derived from the live size when the
+  /// population has halved since the last rebuild (aggregates are already
+  /// exact; only the grid dimension changes). Returns true when a rebuild
+  /// happened. Call between merges, never during queries.
+  bool maybe_rebuild();
+
+  /// True when every pyramid aggregate equals a from-scratch recomputation
+  /// over the stored items. An O(size + nodes) consistency check for tests.
+  [[nodiscard]] bool aggregates_exact() const;
+
+  /// Exact best partner of `id` (which must be stored): the (cost,
+  /// partner-id) argmin of `eval` over every other stored item, ties to
+  /// the smallest id. `eval(j, incumbent, has_incumbent)` returns the
+  /// exact pair cost, or +infinity to signal that its own lower bound
+  /// proved the pair strictly worse than `incumbent` (it must never do so
+  /// when `has_incumbent` is false, and never prune a pair that could tie
+  /// the incumbent). Returns partner -1 iff `id` is the only item.
+  template <class Eval>
+  [[nodiscard]] Best find_best(int id, Eval&& eval,
+                               QueryStats* stats = nullptr) const;
+
   /// Four sibling pyramid nodes stored struct-of-arrays, one lane each, so
-  /// price_quad prices a node's children in one vector pass. Each lane holds the exact aggregates over its subtree (level 0:
+  /// price_quad prices a node's children in one vector pass. Each lane
+  /// holds the exact aggregates over its subtree (level 0:
   /// one bucket; level k: the four level-(k-1) lanes of one quad). The
   /// children of node (x, y) at level k are quad y * level_dim_[k] + x of
   /// level k-1 (see quad_of), lane 2*(y'&1) + (x'&1) for child (x', y') --
@@ -248,42 +285,6 @@ class PartnerIndex {
   /// formulas give (tests/partner_index_test.cpp keeps them as the oracle).
   /// Slackened; compare with strict `>` only.
   void price_quad(const Item& q, const Quad& n, double out[4]) const;
-
-  /// `tech` must outlive the index (only wire_cap is used, and only for
-  /// Metric::SwitchedCap). `capacity` bounds the node ids ever stored;
-  /// `expected` sizes the initial grid (the number of initial inserts).
-  /// The grid covers [xlo, xlo+w] x [ylo, ylo+h].
-  void init(Metric metric, const tech::TechParams* tech, int capacity,
-            int expected, double xlo, double ylo, double w, double h);
-
-  void insert(int id, const Item& item);
-  void remove(int id);
-  [[nodiscard]] bool contains(int id) const {
-    return cell_of_[static_cast<std::size_t>(id)] >= 0;
-  }
-  [[nodiscard]] int size() const { return size_; }
-  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
-
-  /// Re-bucket every item on a grid re-derived from the live size when the
-  /// population has halved since the last rebuild (aggregates are already
-  /// exact; only the grid dimension changes). Returns true when a rebuild
-  /// happened. Call between merges, never during queries.
-  bool maybe_rebuild();
-
-  /// True when every pyramid aggregate equals a from-scratch recomputation
-  /// over the stored items. An O(size + nodes) consistency check for tests.
-  [[nodiscard]] bool aggregates_exact() const;
-
-  /// Exact best partner of `id` (which must be stored): the (cost,
-  /// partner-id) argmin of `eval` over every other stored item, ties to
-  /// the smallest id. `eval(j, incumbent, has_incumbent)` returns the
-  /// exact pair cost, or +infinity to signal that its own lower bound
-  /// proved the pair strictly worse than `incumbent` (it must never do so
-  /// when `has_incumbent` is false, and never prune a pair that could tie
-  /// the incumbent). Returns partner -1 iff `id` is the only item.
-  template <class Eval>
-  [[nodiscard]] Best find_best(int id, Eval&& eval,
-                               QueryStats* stats = nullptr) const;
 
  private:
   /// Bound on the pyramid height (sizes the descent stack): the grid
