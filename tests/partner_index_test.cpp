@@ -31,7 +31,7 @@
 /// recomputation: a stale (merely conservative) bound stays exact but
 /// prunes less, so only this check catches it. The four-lane node pricing
 /// (PartnerIndex::price_quad) is also held bitwise to the scalar per-node
-/// formulas it replaced, kept below as the oracle.
+/// formulas, kept below as the oracle.
 
 namespace gcr {
 namespace {
@@ -418,11 +418,10 @@ TEST(PartnerIndex, NodeBoundsPerQueryStayWithinBudget) {
       << node_bounds << " node bounds over " << queries << " queries";
 }
 
-/// The scalar per-node bound the walk priced with before price_quad, one
-/// lane at a time: price_quad must reproduce it bit for bit on every
-/// nonempty lane, so the walk, its counters and every tree stay as they
-/// were. `paths` records which branches a call took, so the test can show
-/// it reached each of them.
+/// The scalar per-node bound, one lane at a time. price_quad must reproduce
+/// it bit for bit on every nonempty lane: the greedy's trees and the
+/// walk's counters are pinned to these exact values. `paths` records which
+/// branches a call took, so the test can show it reached each of them.
 struct OraclePaths {
   int even_split = 0;  ///< a corner denominator <= 0 (balance_point's 0.5 d)
   int snake = 0;       ///< merge_wire_total's snake branch
