@@ -48,6 +48,10 @@ expect 2 "$BUILD"/tools/gcr_check --replay /nonexistent-artifact.json
 demo="$(mktemp -d)"
 trap 'rm -rf "$demo"' EXIT
 "$BUILD"/tools/gcr_route --demo "$demo" > /dev/null
+{
+  echo "reqs"
+  echo "good sinks=demo.sinks rtl=demo.rtl stream=demo.stream"
+} > "$demo/good.reqs"
 
 # ECO deltas ride the same contract: a syntactically broken .delta and a
 # semantically invalid one (sink index out of range) are both exit 2.
@@ -74,6 +78,27 @@ else
   echo "FAIL: no JSON-valid r.json.flightrec.json after --profile" >&2
   fail=1
 fi
+
+# A flag value that does not parse whole, overflows or lies outside the
+# flag's domain is a flag error (exit 1, cli.bad_flag) before any work
+# starts: not coerced the way atoi/atof would, and never an abort.
+for bad in "--partitions 3" "--partitions 0" "--strength 2" "--threads abc" \
+    "--deadline-ms junk" "--skew-bound nan"; do
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  expect 1 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+    --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" $bad
+done
+expect 1 "$BUILD"/tools/gcr_serve --reqs "$demo/good.reqs" --workers abc
+expect 1 "$BUILD"/tools/gcr_serve --reqs "$demo/good.reqs" --queue-depth -1
+# Serve routes flat, so it takes no width: --threads is an unknown flag.
+expect 1 "$BUILD"/tools/gcr_serve --reqs "$demo/good.reqs" --threads 2
+expect 1 "$BUILD"/tools/gcr_check --seed abc --random 1
+# Routing one design from files and verifying it is gcr_route --selftest;
+# gcr_check has no file mode.
+expect 1 "$BUILD"/tools/gcr_check --sinks x
+expect 0 "$BUILD"/tools/gcr_route --sinks "$demo/demo.sinks" \
+  --rtl "$demo/demo.rtl" --stream "$demo/demo.stream" \
+  --selftest --style gated --topology mmm --partitions 4
 
 # --profile adds sections to the --report document, so alone it is a flag
 # error; so are telemetry snapshots with no JSONL log to keep them.
@@ -129,10 +154,6 @@ done
 
 # gcr_serve speaks the same contract per request; the batch exit is the
 # worst request's code (docs/serving.md).
-{
-  echo "reqs"
-  echo "good sinks=demo.sinks rtl=demo.rtl stream=demo.stream"
-} > "$demo/good.reqs"
 {
   echo "reqs"
   echo "ghost sinks=no_such.sinks rtl=demo.rtl stream=demo.stream"

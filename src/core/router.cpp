@@ -14,29 +14,6 @@
 
 namespace gcr::core {
 
-namespace {
-
-const char* log_style_name(TreeStyle s) {
-  switch (s) {
-    case TreeStyle::Buffered: return "buffered";
-    case TreeStyle::Gated: return "gated";
-    case TreeStyle::GatedReduced: return "reduced";
-  }
-  return "?";
-}
-
-const char* log_topology_name(TopologyScheme t) {
-  switch (t) {
-    case TopologyScheme::MinSwitchedCap: return "swcap";
-    case TopologyScheme::NearestNeighbor: return "nn";
-    case TopologyScheme::ActivityOnly: return "activity";
-    case TopologyScheme::Mmm: return "mmm";
-  }
-  return "?";
-}
-
-}  // namespace
-
 GatedClockRouter::GatedClockRouter(Design design)
     : design_(std::move(design)),
       leaf_module_(design_.resolved_sink_modules()),
@@ -65,8 +42,8 @@ RouteOutcome GatedClockRouter::route_guarded(const RouterOptions& opts,
 
   GCR_LOG_INFO("route.start")
       .kv("sinks", design_.num_sinks())
-      .kv("style", log_style_name(opts.style))
-      .kv("topology", log_topology_name(opts.topology))
+      .kv("style", option_name(opts.style))
+      .kv("topology", option_name(opts.topology))
       .kv("clustered", opts.clustered)
       .kv("threads", opts.num_threads);
   const std::uint64_t detached_before = ct::detached_merge_count();

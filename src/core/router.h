@@ -11,6 +11,7 @@
 #include "clocktree/embed.h"
 #include "clocktree/routed_tree.h"
 #include "core/design.h"
+#include "core/option_names.h"
 #include "cts/greedy.h"
 #include "gating/controller.h"
 #include "gating/gate_reduction.h"
@@ -33,17 +34,6 @@
 ///                    re-embedding with the surviving gates (section 4.3).
 
 namespace gcr::core {
-
-enum class TreeStyle { Buffered, Gated, GatedReduced };
-
-/// Topology generation scheme for the gated styles (Buffered always uses
-/// nearest-neighbor, the conventional baseline).
-enum class TopologyScheme {
-  MinSwitchedCap,   ///< the paper's Eq. 3 greedy
-  NearestNeighbor,  ///< geometry-only greedy [Edahiro'91]
-  ActivityOnly,     ///< joint-activity greedy ([Tellez et al.'95] style)
-  Mmm,              ///< top-down means-and-medians [Jackson et al.'90]
-};
 
 struct RouterOptions {
   TreeStyle style{TreeStyle::GatedReduced};

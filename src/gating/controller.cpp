@@ -10,9 +10,11 @@ namespace gcr::gating {
 
 namespace {
 
+/// sqrt(k) when `k` is a perfect square >= 1, else -1.
 int isqrt_exact(int k) {
-  const int g = static_cast<int>(std::lround(std::sqrt(static_cast<double>(k))));
-  return g * g == k ? g : -1;
+  if (k < 1) return -1;
+  const long long g = std::llround(std::sqrt(static_cast<double>(k)));
+  return g * g == k ? static_cast<int>(g) : -1;
 }
 
 }  // namespace
@@ -21,6 +23,10 @@ ControllerPlacement::ControllerPlacement(const geom::DieArea& die,
                                          int num_partitions)
     : die_(die), grid_(isqrt_exact(num_partitions)) {
   assert(grid_ >= 1 && "num_partitions must be a perfect square >= 1");
+}
+
+bool ControllerPlacement::valid_partitions(int k) {
+  return isqrt_exact(k) >= 1;
 }
 
 int ControllerPlacement::partition_of(const geom::Point& p) const {

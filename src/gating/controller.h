@@ -24,6 +24,10 @@ class ControllerPlacement {
   /// die divides into a gxg grid of equal partitions.
   ControllerPlacement(const geom::DieArea& die, int num_partitions);
 
+  /// The constructor's precondition: `k` is a perfect square >= 1. Front
+  /// ends check a requested partition count with this before routing.
+  [[nodiscard]] static bool valid_partitions(int k);
+
   [[nodiscard]] int num_partitions() const { return grid_ * grid_; }
   [[nodiscard]] const geom::DieArea& die() const { return die_; }
 

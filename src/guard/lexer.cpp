@@ -1,7 +1,6 @@
 #include "guard/lexer.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -84,27 +83,12 @@ bool LineCursor::next_token(std::string_view& tok) {
 
 bool LineCursor::next_int(int& v) {
   std::string_view tok;
-  if (!next_token(tok)) return false;
-  long long wide = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), wide);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) return false;
-  if (wide < std::numeric_limits<int>::min() ||
-      wide > std::numeric_limits<int>::max())
-    return false;
-  v = static_cast<int>(wide);
-  return true;
+  return next_token(tok) && parse_number(tok, v);
 }
 
 bool LineCursor::next_double(double& v) {
   std::string_view tok;
-  if (!next_token(tok)) return false;
-  double d = 0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(),
-                                         d, std::chars_format::general);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) return false;
-  v = d;
-  return true;
+  return next_token(tok) && parse_number(tok, v);
 }
 
 bool LineCursor::at_end() {

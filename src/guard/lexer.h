@@ -1,10 +1,13 @@
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "guard/arena.h"
@@ -39,6 +42,27 @@ namespace gcr::guard {
   return u <= ' ' && ((kSpaces >> u) & 1U) != 0;
 }
 
+/// The one checked number parse of the text formats and the tools' flags:
+/// the whole of `tok` must be a number that fits T (std::from_chars, so no
+/// leading '+' or whitespace; doubles also take "inf"/"nan", which semantic
+/// layers reject where they do not belong). `v` is written only on
+/// success. Inline, so the readers' per-value calls (LineCursor::next_int,
+/// next_double) compile it in place.
+template <typename T>
+[[nodiscard]] inline bool parse_number(std::string_view tok, T& v) {
+  static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>);
+  const char* const end = tok.data() + tok.size();
+  T x{};
+  std::from_chars_result r;
+  if constexpr (std::is_floating_point_v<T>)
+    r = std::from_chars(tok.data(), end, x, std::chars_format::general);
+  else
+    r = std::from_chars(tok.data(), end, x);
+  if (r.ec != std::errc{} || r.ptr != end) return false;
+  v = x;
+  return true;
+}
+
 class LineCursor {
  public:
   LineCursor(std::string_view text, const std::string* file, int line)
@@ -46,10 +70,9 @@ class LineCursor {
 
   /// Next whitespace-delimited token; false at end of line.
   bool next_token(std::string_view& tok);
-  /// Next token parsed as an int (whole token must parse, value must fit).
+  /// Next token through parse_number: false at end of line or when the
+  /// token is not a whole number that fits.
   bool next_int(int& v);
-  /// Next token parsed as a double ("inf"/"nan" parse; semantic layers
-  /// decide whether non-finite values are acceptable).
   bool next_double(double& v);
 
   /// True when only whitespace remains.

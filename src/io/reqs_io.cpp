@@ -1,6 +1,5 @@
 #include "io/reqs_io.h"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <string_view>
@@ -19,21 +18,19 @@ using guard::Code;
 using guard::Lexer;
 using guard::LineCursor;
 
-bool parse_double_value(std::string_view v, double& out) {
-  const char* end = v.data() + v.size();
-  const auto [p, ec] = std::from_chars(v.data(), end, out);
-  return ec == std::errc() && p == end;
-}
-
-bool parse_int_value(std::string_view v, int& out) {
-  const char* end = v.data() + v.size();
-  const auto [p, ec] = std::from_chars(v.data(), end, out);
-  return ec == std::errc() && p == end;
-}
-
-bool one_of(std::string_view v, std::initializer_list<std::string_view> set) {
-  for (const std::string_view s : set)
-    if (v == s) return true;
+/// `val` as a value of the option enum E; reports GCR_E_PARSE naming the
+/// accepted values when it is not in the table.
+template <typename E>
+bool parse_option(std::string_view key, std::string_view val, E& dst,
+                  guard::Diag& diag, const LineCursor& c) {
+  if (const std::optional<E> v = core::option_from_name<E>(val)) {
+    dst = *v;
+    return true;
+  }
+  diag.error(Code::Parse,
+             "bad " + std::string(key) + " '" + std::string(val) +
+                 "' (want " + core::option_name_list<E>() + ")",
+             c.loc());
   return false;
 }
 
@@ -46,12 +43,13 @@ void write_reqs(std::ostream& os, const std::vector<RouteRequest>& reqs) {
   for (const RouteRequest& r : reqs) {
     out << r.id << " sinks=" << r.sinks << " rtl=" << r.rtl
         << " stream=" << r.stream;
-    if (r.style != "reduced") out << " style=" << r.style;
-    if (r.topology != "swcap") out << " topology=" << r.topology;
+    if (r.style != core::TreeStyle::GatedReduced)
+      out << " style=" << core::option_name(r.style);
+    if (r.topology != core::TopologyScheme::MinSwitchedCap)
+      out << " topology=" << core::option_name(r.topology);
     if (r.strength) out << " strength=" << *r.strength;
     if (r.auto_tune) out << " auto_tune=1";
     if (r.deadline_ms >= 0.0) out << " deadline_ms=" << r.deadline_ms;
-    if (r.threads > 0) out << " threads=" << r.threads;
     if (!r.eco.empty()) out << " eco=" << r.eco;
     out << '\n';
   }
@@ -104,8 +102,7 @@ std::optional<std::vector<RouteRequest>> read_reqs(
                  c.loc());
       continue;
     }
-    bool have_strength = false, have_auto = false, have_deadline = false,
-         have_threads = false;
+    bool have_strength = false, have_auto = false, have_deadline = false;
     while (c.next_token(tok)) {
       const std::size_t eq = tok.find('=');
       if (eq == std::string_view::npos || eq == 0) {
@@ -143,26 +140,12 @@ std::optional<std::vector<RouteRequest>> read_reqs(
       } else if (key == "eco") {
         set_path(r.eco);
       } else if (key == "style") {
-        if (!one_of(val, {"buffered", "gated", "reduced"})) {
-          diag.error(Code::Parse,
-                     "bad style '" + std::string(val) +
-                         "' (want buffered|gated|reduced)",
-                     c.loc());
-          bad = true;
-        }
-        r.style = std::string(val);
+        bad = !parse_option(key, val, r.style, diag, c);
       } else if (key == "topology") {
-        if (!one_of(val, {"swcap", "nn", "activity", "mmm"})) {
-          diag.error(Code::Parse,
-                     "bad topology '" + std::string(val) +
-                         "' (want swcap|nn|activity|mmm)",
-                     c.loc());
-          bad = true;
-        }
-        r.topology = std::string(val);
+        bad = !parse_option(key, val, r.topology, diag, c);
       } else if (key == "strength") {
         double s = 0.0;
-        if (have_strength || !parse_double_value(val, s)) {
+        if (have_strength || !guard::parse_number(val, s)) {
           diag.error(Code::Parse, "malformed strength value", c.loc());
           bad = true;
         } else if (!guard::finite_normal(s)) {
@@ -186,7 +169,7 @@ std::optional<std::vector<RouteRequest>> read_reqs(
         }
       } else if (key == "deadline_ms") {
         double d = 0.0;
-        if (have_deadline || !parse_double_value(val, d)) {
+        if (have_deadline || !guard::parse_number(val, d)) {
           diag.error(Code::Parse, "malformed deadline_ms value", c.loc());
           bad = true;
         } else if (!guard::finite_normal(d)) {
@@ -199,18 +182,6 @@ std::optional<std::vector<RouteRequest>> read_reqs(
         } else {
           have_deadline = true;
           r.deadline_ms = d;
-        }
-      } else if (key == "threads") {
-        int t = 0;
-        if (have_threads || !parse_int_value(val, t)) {
-          diag.error(Code::Parse, "malformed threads value", c.loc());
-          bad = true;
-        } else if (t < 0) {
-          diag.error(Code::Range, "threads must be >= 0", c.loc());
-          bad = true;
-        } else {
-          have_threads = true;
-          r.threads = t;
         }
       } else {
         diag.error(Code::Parse,

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/option_names.h"
 #include "guard/status.h"
 
 /// \file reqs_io.h
@@ -28,29 +29,27 @@
 ///   auto_tune=0|1                    sweep reduction strength, keep best
 ///   deadline_ms=MS                   per-request wall-clock budget (>= 0,
 ///                                    finite; absent = the serve default)
-///   threads=N                        per-request topology width (>= 0)
 ///   eco=<path>                       .delta applied incrementally on top
 ///                                    of the (cached) base route
 ///
 /// Option *values* are validated here (unknown keys, bad enum members,
-/// NaN deadlines and negative widths are parse-time errors); whether the
-/// named files exist and parse is the serving layer's per-request
-/// concern -- a bad path must fail one request, not the batch.
+/// NaN deadlines and out-of-range strengths are parse-time errors);
+/// whether the named files exist and parse is the serving layer's
+/// per-request concern -- a bad path must fail one request, not the batch.
 
 namespace gcr::io {
 
-/// One parsed request line. Enumerated options stay validated strings so
-/// this header depends only on guard (the serving layer owns the mapping
-/// onto core::RouterOptions).
+/// One parsed request line. The enumerated options use the header-only
+/// name table (core/option_names.h), so this header needs no router; the
+/// serving layer owns the mapping onto core::RouterOptions.
 struct RouteRequest {
   std::string id;
   std::string sinks, rtl, stream;    ///< design file paths (required)
-  std::string style{"reduced"};      ///< buffered|gated|reduced
-  std::string topology{"swcap"};     ///< swcap|nn|activity|mmm
+  core::TreeStyle style{core::TreeStyle::GatedReduced};
+  core::TopologyScheme topology{core::TopologyScheme::MinSwitchedCap};
   std::optional<double> strength;    ///< reduction strength in [0,1]
   bool auto_tune{false};
   double deadline_ms{-1.0};          ///< < 0 = use the serve default
-  int threads{0};                    ///< 0 = serve default width
   std::string eco;                   ///< optional .delta path ("" = none)
   int line{0};                       ///< 1-based source line (diagnostics)
 };

@@ -11,29 +11,10 @@ namespace gcr::obs {
 
 namespace {
 
-const char* style_name(core::TreeStyle s) {
-  switch (s) {
-    case core::TreeStyle::Buffered: return "buffered";
-    case core::TreeStyle::Gated: return "gated";
-    case core::TreeStyle::GatedReduced: return "reduced";
-  }
-  return "?";
-}
-
-const char* topology_name(core::TopologyScheme t) {
-  switch (t) {
-    case core::TopologyScheme::MinSwitchedCap: return "swcap";
-    case core::TopologyScheme::NearestNeighbor: return "nn";
-    case core::TopologyScheme::ActivityOnly: return "activity";
-    case core::TopologyScheme::Mmm: return "mmm";
-  }
-  return "?";
-}
-
 void write_options(json::Writer& w, const core::RouterOptions& o) {
   w.key("options").begin_object();
-  w.field("style", style_name(o.style));
-  w.field("topology", topology_name(o.topology));
+  w.field("style", core::option_name(o.style));
+  w.field("topology", core::option_name(o.topology));
   w.field("clustered", o.clustered);
   w.field("auto_tune_reduction", o.auto_tune_reduction);
   w.field("gate_sizing",

@@ -55,10 +55,17 @@ std::vector<std::string> Runner::names() const {
 
 std::vector<BenchResult> Runner::run(const RunnerOptions& opts,
                                      std::ostream* progress) const {
+  // A filter that is some benchmark's full name selects just that one
+  // ("scale/build/n=10000" must not also run n=100000); otherwise it is a
+  // substring match.
+  const bool exact = std::any_of(
+      entries_.begin(), entries_.end(),
+      [&](const Entry& e) { return e.name == opts.filter; });
   std::vector<BenchResult> results;
   for (const auto& entry : entries_) {
     if (!opts.filter.empty() &&
-        entry.name.find(opts.filter) == std::string::npos)
+        (exact ? entry.name != opts.filter
+               : entry.name.find(opts.filter) == std::string::npos))
       continue;
 
     BenchResult r;

@@ -70,7 +70,9 @@ struct RunnerOptions {
   double rel_tol{0.02};          ///< split-half agreement tolerance
   double min_rep_seconds{2e-4};  ///< batch up reps shorter than this
   bool quick{false};
-  std::string filter;  ///< substring match on the name; empty = run all
+  /// Substring match on the name, or only the benchmark of exactly that
+  /// name when one exists; empty = run all.
+  std::string filter;
 
   /// The quick tier: fewer reps, tighter time cap. Used by CI's perf-smoke
   /// leg and `reproduce_all.sh`.

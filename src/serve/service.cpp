@@ -36,36 +36,24 @@ void set_gauge(const char* name, double v) {
     obs::Registry::global().gauge(name).set(v);
 }
 
-/// Map the request's validated option strings onto RouterOptions. The
-/// parser already rejected unknown members, so the fallthroughs are
-/// defensive only (they keep the defaults).
+/// Map the request's options onto RouterOptions. Serve routes flat, so
+/// `threads` (ServeOptions::route_threads) shapes nothing.
 core::RouterOptions make_router_options(const io::RouteRequest& req,
-                                        int default_threads) {
+                                        int threads) {
   core::RouterOptions opts;
-  if (req.style == "buffered") opts.style = core::TreeStyle::Buffered;
-  else if (req.style == "gated") opts.style = core::TreeStyle::Gated;
-  else if (req.style == "reduced") opts.style = core::TreeStyle::GatedReduced;
-  if (req.topology == "swcap")
-    opts.topology = core::TopologyScheme::MinSwitchedCap;
-  else if (req.topology == "nn")
-    opts.topology = core::TopologyScheme::NearestNeighbor;
-  else if (req.topology == "activity")
-    opts.topology = core::TopologyScheme::ActivityOnly;
-  else if (req.topology == "mmm")
-    opts.topology = core::TopologyScheme::Mmm;
+  opts.style = req.style;
+  opts.topology = req.topology;
   opts.auto_tune_reduction = req.auto_tune;
   if (req.strength)
     opts.reduction = gating::GateReductionParams::from_strength(*req.strength);
-  opts.num_threads = req.threads > 0 ? req.threads : default_threads;
+  opts.num_threads = threads;
   return opts;
 }
 
 /// Result-cache fingerprint of everything that shapes the routed tree.
-/// `threads` is excluded on purpose: results are bit-identical at every
-/// width (docs/parallelism.md), so a warm entry is valid across widths.
 std::uint64_t options_fingerprint(const io::RouteRequest& req) {
-  std::uint64_t h = hash_bytes(req.style, 0x517);
-  h = hash_combine(h, hash_bytes(req.topology, 0x709));
+  std::uint64_t h = hash_bytes(core::option_name(req.style), 0x517);
+  h = hash_combine(h, hash_bytes(core::option_name(req.topology), 0x709));
   std::uint64_t strength_bits = 0x5e111;  // sentinel: defaulted strength
   if (req.strength)
     std::memcpy(&strength_bits, &*req.strength, sizeof strength_bits);

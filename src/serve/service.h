@@ -35,11 +35,7 @@
 ///     error -- stops the service from draining the rest of the batch.
 ///   * Intermediates are cached. Parsed designs plus their activity
 ///     engine are keyed by the content hash of the three input files;
-///     finished route results by (design hash, option fingerprint) --
-///     and per-request `threads` is deliberately *not* part of the
-///     fingerprint: serve routes are flat, so it changes nothing (and a
-///     clustered tree is bit-identical at every width anyway,
-///     docs/parallelism.md), so a warm hit is valid across widths.
+///     finished route results by (design hash, option fingerprint).
 ///     Both caches are bounded with LRU eviction (GCR_W_CACHE_EVICT);
 ///     an entry implicated in an internal error is invalidated, never
 ///     re-served.
@@ -71,10 +67,10 @@ struct ServeOptions {
   /// Budget for requests that do not carry their own deadline_ms.
   /// < 0 = unlimited.
   double default_deadline_ms{-1.0};
-  /// RouterOptions::num_threads for requests with threads=0. It has no
-  /// effect: only the clustered builder reads the width, and a serve
-  /// request never routes clustered (make_router_options leaves
-  /// RouterOptions::clustered off). Lanes give inter-request parallelism.
+  /// RouterOptions::num_threads of every request. It has no effect: only
+  /// the clustered builder reads the width, and a serve request never
+  /// routes clustered (make_router_options leaves RouterOptions::clustered
+  /// off). Lanes give inter-request parallelism.
   int route_threads{1};
   std::string base_dir;  ///< resolve relative request paths against this
 };

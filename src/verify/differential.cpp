@@ -137,16 +137,12 @@ struct Driver {
     using Scheme = core::TopologyScheme;
     double flat_swcap_wl = -1.0;
     std::optional<ct::RoutedTree> flat_swcap_tree;
-    for (const auto& [scheme, name] :
-         {std::pair{Scheme::MinSwitchedCap, "swcap"},
-          std::pair{Scheme::NearestNeighbor, "nn"},
-          std::pair{Scheme::ActivityOnly, "activity"},
-          std::pair{Scheme::Mmm, "mmm"}}) {
+    for (const auto& [scheme, name] : core::OptionNames<Scheme>::table) {
       core::RouterOptions ropts;
       ropts.style = core::TreeStyle::Gated;
       ropts.topology = scheme;
       const auto res = route_checked(router, spec, ropts,
-                                     std::string("route:gated:") + name);
+                                     "route:gated:" + std::string(name));
       if (res && scheme == Scheme::MinSwitchedCap) {
         flat_swcap_wl = res->tree.total_wirelength();
         flat_swcap_tree = res->tree;
@@ -357,15 +353,14 @@ DiffStats run_eco_differential(const EcoDiffOptions& opts) {
     }
     const core::GatedClockRouter next_router(eco::apply_delta(base, delta));
 
-    const auto check_config = [&](Scheme scheme, const char* name,
-                                  core::TreeStyle style,
-                                  const char* style_name) {
+    const auto check_config = [&](Scheme scheme, core::TreeStyle style) {
       core::RouterOptions ropts;
       ropts.style = style;
       ropts.topology = scheme;
       ropts.num_threads = 1;
-      const std::string stage =
-          std::string("eco-diff:") + name + ":" + style_name;
+      const std::string stage = "eco-diff:" +
+                                std::string(core::option_name(scheme)) + ":" +
+                                std::string(core::option_name(style));
       const core::RouterResult prev = router.route(ropts);
       ++driver.stats.routes;
       eco::EcoInfo info;
@@ -441,15 +436,9 @@ DiffStats run_eco_differential(const EcoDiffOptions& opts) {
       }
     };
 
-    for (const auto& [scheme, name] :
-         {std::pair{Scheme::MinSwitchedCap, "swcap"},
-          std::pair{Scheme::NearestNeighbor, "nn"},
-          std::pair{Scheme::ActivityOnly, "activity"},
-          std::pair{Scheme::Mmm, "mmm"}}) {
-      check_config(scheme, name, core::TreeStyle::Gated, "gated");
-    }
-    check_config(Scheme::MinSwitchedCap, "swcap",
-                 core::TreeStyle::GatedReduced, "reduced");
+    for (const auto& n : core::OptionNames<Scheme>::table)
+      check_config(n.value, core::TreeStyle::Gated);
+    check_config(Scheme::MinSwitchedCap, core::TreeStyle::GatedReduced);
   }
   return std::move(driver.stats);
 }
@@ -469,11 +458,7 @@ DiffStats run_index_differential(const IndexDiffOptions& opts) {
         .kv("cloud", sink_cloud_name(spec.cloud));
     const core::GatedClockRouter router(generate_design(spec));
     ++driver.stats.designs;
-    for (const auto& [scheme, name] :
-         {std::pair{Scheme::MinSwitchedCap, "swcap"},
-          std::pair{Scheme::NearestNeighbor, "nn"},
-          std::pair{Scheme::ActivityOnly, "activity"},
-          std::pair{Scheme::Mmm, "mmm"}}) {
+    for (const auto& [scheme, name] : core::OptionNames<Scheme>::table) {
       for (const bool clustered : {false, true}) {
         // Only the clustered builder fans out, so only it sweeps widths.
         for (const int threads : {1, 4}) {
@@ -490,7 +475,7 @@ DiffStats run_index_differential(const IndexDiffOptions& opts) {
           driver.stats.routes += 2;
           if (!trees_identical(indexed.tree, exhaustive.tree)) {
             driver.fail(spec,
-                        std::string("index-diff:") + name +
+                        "index-diff:" + std::string(name) +
                             (clustered ? ":clustered" : ":flat") + ":t" +
                             std::to_string(threads),
                         "indexed and exhaustive partner selection routed "

@@ -171,5 +171,37 @@ TEST(Router, SinkModuleMappingIsRespected) {
     EXPECT_DOUBLE_EQ(r.activity.p_en[static_cast<std::size_t>(i)], 0.5);
 }
 
+template <typename E>
+void expect_table_round_trips() {
+  std::string names;
+  for (const NamedValue<E>& n : OptionNames<E>::table) {
+    EXPECT_EQ(option_name(n.value), n.name);
+    EXPECT_EQ(option_from_name<E>(n.name), n.value);
+    if (!names.empty()) names += '|';
+    names += n.name;
+  }
+  EXPECT_EQ(option_name_list<E>(), names);
+  for (const char* junk : {"", "junk", "Gated", " nn", "nn ", "swcap|nn"})
+    EXPECT_FALSE(option_from_name<E>(junk).has_value()) << junk;
+}
+
+TEST(OptionNames, TreeStylesRoundTripAndRejectJunk) {
+  expect_table_round_trips<TreeStyle>();
+  // Every enumerator is in the table, in declaration order.
+  ASSERT_EQ(OptionNames<TreeStyle>::table.size(), 3u);
+  EXPECT_EQ(OptionNames<TreeStyle>::table.back().value,
+            TreeStyle::GatedReduced);
+  EXPECT_EQ(option_name_list<TreeStyle>(), "buffered|gated|reduced");
+}
+
+TEST(OptionNames, TopologySchemesRoundTripAndRejectJunk) {
+  expect_table_round_trips<TopologyScheme>();
+  ASSERT_EQ(OptionNames<TopologyScheme>::table.size(), 4u);
+  EXPECT_EQ(OptionNames<TopologyScheme>::table.back().value,
+            TopologyScheme::Mmm);
+  EXPECT_EQ(option_name_list<TopologyScheme>(), "swcap|nn|activity|mmm");
+  EXPECT_EQ(option_name(static_cast<TopologyScheme>(99)), "?");
+}
+
 }  // namespace
 }  // namespace gcr::core

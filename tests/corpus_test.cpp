@@ -227,12 +227,11 @@ TEST(ReqsRoundTrip, WriteReadIsIdentity) {
   reqs[1].sinks = "d/b.sinks";
   reqs[1].rtl = "d/b.rtl";
   reqs[1].stream = "d/b.stream";
-  reqs[1].style = "gated";
-  reqs[1].topology = "nn";
+  reqs[1].style = core::TreeStyle::Gated;
+  reqs[1].topology = core::TopologyScheme::NearestNeighbor;
   reqs[1].strength = 0.375;
   reqs[1].auto_tune = false;
   reqs[1].deadline_ms = 1500.5;
-  reqs[1].threads = 4;
   reqs[1].eco = "d/b.delta";
 
   std::ostringstream os;
@@ -257,7 +256,6 @@ TEST(ReqsRoundTrip, WriteReadIsIdentity) {
     }
     EXPECT_EQ((*back)[i].auto_tune, reqs[i].auto_tune);
     EXPECT_EQ((*back)[i].deadline_ms, reqs[i].deadline_ms);
-    EXPECT_EQ((*back)[i].threads, reqs[i].threads);
     EXPECT_EQ((*back)[i].eco, reqs[i].eco);
   }
 }

@@ -384,6 +384,68 @@ TEST(GuardLexer, NthVisitReadFaultLandsOnItsLine) {
   EXPECT_EQ(inj.last_site(), "arena.alloc");
 }
 
+TEST(GuardParseNumber, IntsTakeTheWholeTokenAndMustFit) {
+  int v = 7;
+  EXPECT_TRUE(guard::parse_number("42", v));
+  EXPECT_EQ(v, 42);
+  EXPECT_TRUE(guard::parse_number("-2147483648", v));
+  EXPECT_EQ(v, std::numeric_limits<int>::min());
+  EXPECT_TRUE(guard::parse_number("2147483647", v));
+  EXPECT_EQ(v, std::numeric_limits<int>::max());
+  v = 7;
+  // Overflow, a leading '+', trailing bytes, junk, an empty token and
+  // surrounding whitespace all fail and leave the value alone.
+  for (const char* bad : {"2147483648", "-2147483649", "+1", "1x", "12 ",
+                          " 12", "abc", "", "1.5", "1e3", "-"}) {
+    EXPECT_FALSE(guard::parse_number(bad, v)) << '"' << bad << '"';
+    EXPECT_EQ(v, 7) << bad;
+  }
+  std::uint64_t u = 0;
+  EXPECT_TRUE(guard::parse_number("18446744073709551615", u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(guard::parse_number("18446744073709551616", u));
+  EXPECT_FALSE(guard::parse_number("-1", u));  // no wrap to 2^64 - 1
+}
+
+TEST(GuardParseNumber, DoublesTakeTheWholeTokenAndParseNonFinite) {
+  double d = 7.0;
+  EXPECT_TRUE(guard::parse_number("-1.5e-3", d));
+  EXPECT_EQ(d, -1.5e-3);
+  EXPECT_TRUE(guard::parse_number("-0", d));
+  EXPECT_TRUE(std::signbit(d));
+  // Non-finite spellings parse; semantic layers reject them.
+  EXPECT_TRUE(guard::parse_number("inf", d));
+  EXPECT_TRUE(std::isinf(d) && d > 0);
+  EXPECT_TRUE(guard::parse_number("-inf", d));
+  EXPECT_TRUE(std::isinf(d) && d < 0);
+  EXPECT_TRUE(guard::parse_number("nan", d));
+  EXPECT_TRUE(std::isnan(d));
+  d = 7.0;
+  for (const char* bad : {"1e999", "-1e999", "+1", "1.5x", "1.5 ", " 1.5",
+                          "junk", "", ".", "e5", "0x10"}) {
+    EXPECT_FALSE(guard::parse_number(bad, d)) << '"' << bad << '"';
+    EXPECT_EQ(d, 7.0) << bad;
+  }
+}
+
+TEST(GuardParseNumber, LineCursorReadsThroughIt) {
+  const std::string line = "12 -3.5 nan 2147483648 4x";
+  guard::LineCursor c(line, &line, 1);
+  int i = 0;
+  double d = 0.0;
+  EXPECT_TRUE(c.next_int(i));
+  EXPECT_EQ(i, 12);
+  EXPECT_TRUE(c.next_double(d));
+  EXPECT_EQ(d, -3.5);
+  EXPECT_TRUE(c.next_double(d));
+  EXPECT_TRUE(std::isnan(d));
+  EXPECT_FALSE(c.next_int(i));  // overflow
+  EXPECT_EQ(c.last_token(), "2147483648");
+  EXPECT_FALSE(c.next_int(i));  // trailing bytes
+  EXPECT_EQ(c.loc().col, 24);
+  EXPECT_FALSE(c.next_double(d));  // end of line
+}
+
 // ---------------------------------------------------------------------------
 // validate_design
 

@@ -385,12 +385,11 @@ TEST(TextIo, ReqsWriterMatchesReferenceBytes) {
   full.sinks = std::string(40000, 's');  // longer than one output block
   full.rtl = "d/b.rtl";
   full.stream = "d/b.stream";
-  full.style = "gated";
-  full.topology = "mmm";
+  full.style = core::TreeStyle::Gated;
+  full.topology = core::TopologyScheme::Mmm;
   full.strength = 0.1;
   full.auto_tune = true;
   full.deadline_ms = 123456789012345678.0;
-  full.threads = INT_MAX;
   full.eco = "d/b.delta";
   reqs[2] = full;
   reqs[2].id = "edges";
@@ -404,12 +403,13 @@ TEST(TextIo, ReqsWriterMatchesReferenceBytes) {
   for (const RouteRequest& r : reqs) {
     ref << r.id << " sinks=" << r.sinks << " rtl=" << r.rtl
         << " stream=" << r.stream;
-    if (r.style != "reduced") ref << " style=" << r.style;
-    if (r.topology != "swcap") ref << " topology=" << r.topology;
+    if (r.style != core::TreeStyle::GatedReduced)
+      ref << " style=" << core::option_name(r.style);
+    if (r.topology != core::TopologyScheme::MinSwitchedCap)
+      ref << " topology=" << core::option_name(r.topology);
     if (r.strength) ref << " strength=" << *r.strength;
     if (r.auto_tune) ref << " auto_tune=1";
     if (r.deadline_ms >= 0.0) ref << " deadline_ms=" << r.deadline_ms;
-    if (r.threads > 0) ref << " threads=" << r.threads;
     if (!r.eco.empty()) ref << " eco=" << r.eco;
     ref << '\n';
   }

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/json.h"
@@ -144,6 +145,26 @@ TEST(PerfRunner, RunsAtLeastMinRepsAndHonorsFilter) {
   EXPECT_EQ(results[0].batch, 1);
   // warmup + timed reps all invoked the closure.
   EXPECT_EQ(*counter, results[0].time_ms.reps + results[0].warmup_reps);
+}
+
+TEST(PerfRunner, FilterEqualToAFullNameRunsOnlyThatBenchmark) {
+  perf::Runner r;
+  std::vector<std::string> ran;
+  for (const char* name : {"scale/build/n=10000", "scale/build/n=100000"})
+    r.add(name, [&ran, name] {
+      ran.emplace_back(name);
+      return [] {};
+    });
+  perf::RunnerOptions opts = perf::RunnerOptions::quick_tier();
+  opts.max_seconds_per_bench = 0.0;
+  opts.filter = "scale/build/n=10000";
+  const auto exact = r.run(opts, nullptr);
+  ASSERT_EQ(exact.size(), 1u);
+  EXPECT_EQ(exact[0].name, "scale/build/n=10000");
+  // A filter that names no benchmark outright still matches substrings.
+  opts.filter = "scale/build/n=1000";
+  EXPECT_EQ(r.run(opts, nullptr).size(), 2u);
+  EXPECT_EQ(ran.size(), 3u);
 }
 
 TEST(PerfRunner, MicroBenchmarksGetBatched) {

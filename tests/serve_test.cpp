@@ -233,7 +233,6 @@ TEST_F(ServeTest, CacheHitIsBitIdenticalToColdRoute) {
   io::RouteRequest req = write_design(33, "d33");
   io::RouteRequest again = req;
   again.id = "again";
-  again.threads = 2;  // width differs; fingerprint (correctly) ignores it
   serve::ServeOptions opts;
   opts.workers = 1;  // serial lane: the second request must hit warm
   serve::BatchService service(opts);

@@ -14,7 +14,8 @@
 ///
 ///   --quick      small sizes + relaxed stabilization (also via
 ///                GCR_BENCH_QUICK=1); the CI perf-smoke tier
-///   --filter     run only benchmarks whose name contains SUBSTR
+///   --filter     run only benchmarks whose name contains SUBSTR; a SUBSTR
+///                that is a benchmark's full name runs just that one
 ///   --out DIR    sidecar directory (created if missing; default ".")
 ///   --list       print registered benchmark names and exit
 ///   --no-mem     leave the allocation hook off (timings only)
@@ -54,6 +55,7 @@
 #include "eco/incremental.h"
 #include "guard/status.h"
 #include "gating/gate_reduction.h"
+#include "log/flags.h"
 #include "log/logger.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -651,27 +653,25 @@ int main(int argc, char** argv) {
   bool mem = true;
   bool profile = false;
   int threads_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--quick") {
-      quick = true;
-    } else if (flag == "--filter" && i + 1 < argc) {
-      filter = argv[++i];
-    } else if (flag == "--out" && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (flag == "--list") {
-      list = true;
-    } else if (flag == "--no-mem") {
-      mem = false;
-    } else if (flag == "--threads" && i + 1 < argc) {
-      threads_override = std::atoi(argv[++i]);
-    } else if (flag == "--profile") {
-      profile = true;
-    } else {
+  log::FlagReader f(argc, argv);
+  while (f.next()) {
+    const std::string& flag = f.flag();
+    bool have = true;  // false: the flag's value is missing
+    if (flag == "--quick") quick = true;
+    else if (flag == "--filter") have = f.value(filter);
+    else if (flag == "--out") have = f.value(out_dir);
+    else if (flag == "--list") list = true;
+    else if (flag == "--no-mem") mem = false;
+    else if (flag == "--threads")
+      have = f.number(threads_override, log::at_least(0));
+    else if (flag == "--profile") profile = true;
+    else have = false;
+    if (!have) {
       usage();
       return 1;
     }
   }
+  if (f.bad()) return f.report_bad();
   // Applied after the loop so the result does not depend on flag order.
   if (quick) opts = perf::RunnerOptions::quick_tier();
   opts.filter = filter;

@@ -16,15 +16,18 @@
 /// 2 unreadable or invalid report files, 4 regression found.
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "guard/lexer.h"
+#include "log/flags.h"
 #include "log/logger.h"
 #include "obs/json.h"
 #include "obs/report.h"
@@ -58,18 +61,15 @@ std::vector<fs::path> report_files(const fs::path& dir) {
   return out;
 }
 
-/// "5%" -> 0.05, "0.05" -> 0.05; nullopt on junk.
-std::optional<double> parse_threshold(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str()) return std::nullopt;
-  if (*end == '%') {
-    v /= 100.0;
-    ++end;
-  }
-  if (*end != '\0' || v < 0.0) return std::nullopt;
-  return v;
+/// "5%" -> 0.05, "0.05" -> 0.05; nullopt on junk, a negative or a
+/// non-finite value.
+std::optional<double> parse_threshold(std::string_view s) {
+  const bool percent = !s.empty() && s.back() == '%';
+  if (percent) s.remove_suffix(1);
+  double v = 0.0;
+  if (!guard::parse_number(s, v) || !std::isfinite(v) || v < 0.0)
+    return std::nullopt;
+  return percent ? v / 100.0 : v;
 }
 
 void usage() {
@@ -150,30 +150,25 @@ int main(int argc, char** argv) {
   perf::DiffOptions opts;
   bool report_only = false;
   bool validate = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--threshold" && i + 1 < argc) {
-      const std::optional<double> t = parse_threshold(argv[++i]);
-      if (!t) {
-        std::cerr << "bad threshold: " << argv[i] << '\n';
-        return 1;
-      }
-      opts.threshold = *t;
-    } else if (flag == "--noise-mads" && i + 1 < argc) {
-      opts.noise_mads = std::atof(argv[++i]);
-    } else if (flag == "--min-delta" && i + 1 < argc) {
-      opts.min_delta_ms = std::atof(argv[++i]);
-    } else if (flag == "--report-only") {
-      report_only = true;
-    } else if (flag == "--validate") {
-      validate = true;
-    } else if (!flag.empty() && flag[0] == '-') {
+  log::FlagReader f(argc, argv);
+  while (f.next()) {
+    const std::string& flag = f.flag();
+    bool have = true;  // false: the flag's value is missing
+    if (flag == "--threshold") have = f.value(opts.threshold, parse_threshold);
+    else if (flag == "--noise-mads")
+      have = f.number(opts.noise_mads, log::at_least(0.0));
+    else if (flag == "--min-delta")
+      have = f.number(opts.min_delta_ms, log::at_least(0.0));
+    else if (flag == "--report-only") report_only = true;
+    else if (flag == "--validate") validate = true;
+    else if (!flag.empty() && flag[0] == '-') have = false;
+    else positional.push_back(flag);
+    if (!have) {
       usage();
       return 1;
-    } else {
-      positional.push_back(flag);
     }
   }
+  if (f.bad()) return f.report_bad();
 
   if (validate) {
     if (positional.empty()) {

@@ -13,8 +13,6 @@
 ///   gcr_check --tree FILE [--skew-bound B]
 ///       structural/geometric/electrical invariants of a routed-tree dump
 ///       (io/tree_io.h format, e.g. from gcr_route --tree).
-///   gcr_check --sinks F --rtl F --stream F [route options]
-///       route one design from files and verify the full result.
 ///   gcr_check --faults [--seed S] [--verbose]
 ///       seeded fault-injection sweep: parse generated designs through
 ///       truncated/failing streams and with the arena/lexer fault injector
@@ -33,11 +31,12 @@
 ///       route exactly or within the documented switched-cap bound
 ///       (docs/incremental.md).
 ///
+/// To route one design from files and verify the full result, use
+/// `gcr_route --selftest`.
+///
 /// Exit codes: 0 ok, 1 usage, 2 invalid input, 3 resource/deadline,
 /// 4 internal error / invariant violation / harness failure.
 
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -50,11 +49,12 @@
 
 #include "core/router.h"
 #include "guard/fault.h"
+#include "guard/lexer.h"
 #include "guard/postmortem.h"
 #include "guard/status.h"
-#include "guard/validate.h"
 #include "io/text_io.h"
 #include "io/tree_io.h"
+#include "log/flags.h"
 #include "log/logger.h"
 #include "verify/differential.h"
 #include "verify/generator.h"
@@ -75,12 +75,6 @@ struct Args {
   bool faults = false;
   std::string tree_file;
   double skew_bound = 0.0;
-  std::string sinks, rtl, stream;
-  std::string style = "reduced";
-  std::string topology = "swcap";
-  int partitions = 1;
-  bool clustered = false;
-  int threads = 0;
   std::string log_json;   // JSONL event log ("" = GCR_LOG env or none)
   std::string log_level;  // runtime floor ("" = GCR_LOG_LEVEL env or info)
 };
@@ -92,81 +86,44 @@ void usage() {
          "       gcr_check --eco-diff N [--seed S] [--dump DIR] [--verbose]\n"
          "       gcr_check --replay SEED|ARTIFACT.json [--dump DIR]\n"
          "       gcr_check --tree FILE [--skew-bound B]\n"
-         "       gcr_check --sinks F --rtl F --stream F [options]\n"
          "       gcr_check --faults [--seed S] [--verbose]\n"
-         "options (file mode):\n"
-         "  --style buffered|gated|reduced   tree style (default reduced)\n"
-         "  --topology swcap|nn|activity|mmm topology scheme\n"
-         "  --partitions K                   distributed controllers\n"
-         "  --clustered                      two-level construction\n"
-         "  --threads N                      clustered per-cell threads\n"
-         "  --skew-bound PS                  skew budget (0 = exact)\n"
-         "  --log-json FILE                  structured gcr.event JSONL log\n"
-         "                                   (also via GCR_LOG=FILE)\n"
-         "  --log-level L                    trace|debug|info|warn|error|off\n"
+         "(to route and verify one design from files: gcr_route --selftest)\n"
+         "options:\n"
+         "  --skew-bound PS    skew budget of --tree (0 = exact)\n"
+         "  --log-json FILE    structured gcr.event JSONL log\n"
+         "                     (also via GCR_LOG=FILE)\n"
+         "  --log-level L      trace|debug|info|warn|error|off\n"
          "exit codes: 0 ok, 1 usage, 2 invalid input, 3 resource/deadline,\n"
          "            4 internal error or invariant violation\n";
 }
 
-std::optional<Args> parse(int argc, char** argv) {
+/// Flag values that fail their checks are left on `f` (see log/flags.h);
+/// nullopt is a usage error.
+std::optional<Args> parse(log::FlagReader& f) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (flag == "--random") {
-      if (const char* v = next()) a.random_designs = std::atoi(v);
-      else return std::nullopt;
-    } else if (flag == "--index-diff") {
-      if (const char* v = next()) a.index_diff_designs = std::atoi(v);
-      else return std::nullopt;
-    } else if (flag == "--eco-diff") {
-      if (const char* v = next()) a.eco_diff_designs = std::atoi(v);
-      else return std::nullopt;
-    } else if (flag == "--seed") {
-      if (const char* v = next()) a.seed = std::strtoull(v, nullptr, 10);
-      else return std::nullopt;
-    } else if (flag == "--replay") {
-      if (const char* v = next()) a.replay = v;
-      else return std::nullopt;
-    } else if (flag == "--dump") {
-      if (const char* v = next()) a.dump_dir = v; else return std::nullopt;
-    } else if (flag == "--verbose") {
-      a.verbose = true;
-    } else if (flag == "--faults") {
-      a.faults = true;
-    } else if (flag == "--tree") {
-      if (const char* v = next()) a.tree_file = v; else return std::nullopt;
-    } else if (flag == "--skew-bound") {
-      if (const char* v = next()) a.skew_bound = std::atof(v);
-      else return std::nullopt;
-    } else if (flag == "--sinks") {
-      if (const char* v = next()) a.sinks = v; else return std::nullopt;
-    } else if (flag == "--rtl") {
-      if (const char* v = next()) a.rtl = v; else return std::nullopt;
-    } else if (flag == "--stream") {
-      if (const char* v = next()) a.stream = v; else return std::nullopt;
-    } else if (flag == "--style") {
-      if (const char* v = next()) a.style = v; else return std::nullopt;
-    } else if (flag == "--topology") {
-      if (const char* v = next()) a.topology = v; else return std::nullopt;
-    } else if (flag == "--partitions") {
-      if (const char* v = next()) a.partitions = std::atoi(v);
-      else return std::nullopt;
-    } else if (flag == "--clustered") {
-      a.clustered = true;
-    } else if (flag == "--threads") {
-      if (const char* v = next()) a.threads = std::atoi(v);
-      else return std::nullopt;
-    } else if (flag == "--log-json") {
-      if (const char* v = next()) a.log_json = v; else return std::nullopt;
-    } else if (flag == "--log-level") {
-      if (const char* v = next()) a.log_level = v; else return std::nullopt;
-    } else {
+  const auto count = log::at_least(0);
+  while (f.next()) {
+    const std::string& flag = f.flag();
+    bool have = true;  // false: the flag's value is missing
+    if (flag == "--random") have = f.number(a.random_designs, count);
+    else if (flag == "--index-diff")
+      have = f.number(a.index_diff_designs, count);
+    else if (flag == "--eco-diff") have = f.number(a.eco_diff_designs, count);
+    else if (flag == "--seed") have = f.number(a.seed);
+    else if (flag == "--replay") have = f.value(a.replay);
+    else if (flag == "--dump") have = f.value(a.dump_dir);
+    else if (flag == "--verbose") a.verbose = true;
+    else if (flag == "--faults") a.faults = true;
+    else if (flag == "--tree") have = f.value(a.tree_file);
+    else if (flag == "--skew-bound")
+      have = f.number(a.skew_bound, log::at_least(0.0));
+    else if (flag == "--log-json") have = f.value(a.log_json);
+    else if (flag == "--log-level") have = f.value(a.log_level);
+    else {
       std::cerr << "unknown flag: " << flag << '\n';
       return std::nullopt;
     }
+    if (!have) return std::nullopt;
   }
   return a;
 }
@@ -201,64 +158,6 @@ int run_tree_mode(const Args& a) {
   if (!tree) return diag.exit_code();
   const verify::Report rep =
       verify::verify_tree(*tree, tech::TechParams{}, a.skew_bound);
-  std::cout << rep.summary() << '\n';
-  return rep.ok() ? guard::kExitOk : guard::kExitInternal;
-}
-
-int run_file_mode(const Args& a) {
-  guard::Diag diag;
-  std::ifstream sf(a.sinks);
-  if (!sf) diag.error(guard::Code::Io, "cannot open " + a.sinks);
-  std::optional<io::SinksFile> sinks =
-      sf ? io::read_sinks(sf, diag, a.sinks) : std::nullopt;
-  std::ifstream rf(a.rtl);
-  if (!rf) diag.error(guard::Code::Io, "cannot open " + a.rtl);
-  std::optional<activity::RtlDescription> rtl =
-      rf ? io::read_rtl(rf, diag, a.rtl) : std::nullopt;
-  std::ifstream tf(a.stream);
-  if (!tf) diag.error(guard::Code::Io, "cannot open " + a.stream);
-  std::optional<activity::InstructionStream> stream =
-      tf ? io::read_stream(tf, diag, a.stream) : std::nullopt;
-  // Parse/validate diagnostics flow through the guard bridge; no
-  // diag.print side channel.
-  if (!sinks || !rtl || !stream) return diag.exit_code();
-
-  core::Design design{sinks->die, std::move(sinks->sinks), std::move(*rtl),
-                      std::move(*stream), {}};
-  // Strict validation before the router sees the design: it rejects
-  // out-of-die, duplicate and zero-cap sinks, which the router's own
-  // lenient check only warns about.
-  if (!guard::validate_design(design, diag)) return diag.exit_code();
-  const core::GatedClockRouter router(std::move(design));
-
-  core::RouterOptions opts;
-  if (a.style == "buffered") opts.style = core::TreeStyle::Buffered;
-  else if (a.style == "gated") opts.style = core::TreeStyle::Gated;
-  else if (a.style == "reduced") opts.style = core::TreeStyle::GatedReduced;
-  else {
-    GCR_LOG_ERROR("cli.bad_flag").kv("flag", "--style").kv("value", a.style);
-    return guard::kExitUsage;
-  }
-  if (a.topology == "swcap")
-    opts.topology = core::TopologyScheme::MinSwitchedCap;
-  else if (a.topology == "nn")
-    opts.topology = core::TopologyScheme::NearestNeighbor;
-  else if (a.topology == "activity")
-    opts.topology = core::TopologyScheme::ActivityOnly;
-  else if (a.topology == "mmm") opts.topology = core::TopologyScheme::Mmm;
-  else {
-    GCR_LOG_ERROR("cli.bad_flag")
-        .kv("flag", "--topology")
-        .kv("value", a.topology);
-    return guard::kExitUsage;
-  }
-  opts.controller_partitions = a.partitions;
-  opts.clustered = a.clustered;
-  opts.num_threads = a.threads;
-  opts.skew_bound = a.skew_bound;
-
-  const core::RouterResult result = router.route(opts);
-  const verify::Report rep = verify::verify_result(router, opts, result);
   std::cout << rep.summary() << '\n';
   return rep.ok() ? guard::kExitOk : guard::kExitInternal;
 }
@@ -483,7 +382,8 @@ int run_faults_mode(std::uint64_t seed, bool verbose) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Args> parsed = parse(argc, argv);
+  log::FlagReader flags(argc, argv);
+  const std::optional<Args> parsed = parse(flags);
   if (!parsed) {
     usage();
     return guard::kExitUsage;
@@ -496,27 +396,13 @@ int main(int argc, char** argv) {
   if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
+  if (flags.bad()) return flags.report_bad();
   try {
     if (a.faults) return run_faults_mode(a.seed, a.verbose);
     if (!a.tree_file.empty()) return run_tree_mode(a);
-    if (!a.sinks.empty() || !a.rtl.empty() || !a.stream.empty()) {
-      if (a.sinks.empty() || a.rtl.empty() || a.stream.empty()) {
-        usage();
-        return guard::kExitUsage;
-      }
-      return run_file_mode(a);
-    }
     if (!a.replay.empty()) {
       std::uint64_t seed = 0;
-      bool is_seed = !a.replay.empty();
-      for (const char c : a.replay)
-        if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
-          is_seed = false;
-          break;
-        }
-      if (is_seed) {
-        seed = std::strtoull(a.replay.c_str(), nullptr, 10);
-      } else {
+      if (!guard::parse_number(a.replay, seed)) {
         std::ifstream is(a.replay);
         if (!is) {
           GCR_LOG_ERROR("check.io")

@@ -17,7 +17,6 @@
 /// 3 deadline/resource exhausted, 4 internal error or selftest violation.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -38,6 +37,7 @@
 #include "io/svg.h"
 #include "io/text_io.h"
 #include "io/tree_io.h"
+#include "log/flags.h"
 #include "log/logger.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -56,15 +56,7 @@ namespace {
 
 struct Args {
   std::string sinks, rtl, stream;
-  std::string style = "reduced";
-  std::string topology = "swcap";
-  int partitions = 1;
-  std::optional<double> strength;
-  bool auto_tune = false;
-  bool clustered = false;
-  int threads = 0;
-  bool sizing = false;
-  double skew_bound = 0.0;
+  core::RouterOptions opts;  // every route option flag lands here
   std::string eco;  // .delta file: incremental re-route after the base route
   std::string svg, tree_out, demo_dir;
   bool csv = false;
@@ -131,72 +123,59 @@ void usage() {
          "            4 internal error or selftest violation\n";
 }
 
-std::optional<Args> parse(int argc, char** argv) {
+/// Flag values that fail their checks are left on `f` (see log/flags.h);
+/// nullopt is a usage error.
+std::optional<Args> parse(log::FlagReader& f) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (flag == "--sinks") {
-      if (const char* v = next()) a.sinks = v; else return std::nullopt;
-    } else if (flag == "--rtl") {
-      if (const char* v = next()) a.rtl = v; else return std::nullopt;
-    } else if (flag == "--stream") {
-      if (const char* v = next()) a.stream = v; else return std::nullopt;
-    } else if (flag == "--style") {
-      if (const char* v = next()) a.style = v; else return std::nullopt;
-    } else if (flag == "--topology") {
-      if (const char* v = next()) a.topology = v; else return std::nullopt;
-    } else if (flag == "--clustered") {
-      a.clustered = true;
-    } else if (flag == "--threads") {
-      if (const char* v = next()) a.threads = std::atoi(v); else return std::nullopt;
-    } else if (flag == "--size-gates") {
-      a.sizing = true;
-    } else if (flag == "--skew-bound") {
-      if (const char* v = next()) a.skew_bound = std::atof(v); else return std::nullopt;
-    } else if (flag == "--eco") {
-      if (const char* v = next()) a.eco = v; else return std::nullopt;
-    } else if (flag == "--partitions") {
-      if (const char* v = next()) a.partitions = std::atoi(v); else return std::nullopt;
-    } else if (flag == "--strength") {
-      if (const char* v = next()) a.strength = std::atof(v); else return std::nullopt;
-    } else if (flag == "--auto-tune") {
-      a.auto_tune = true;
-    } else if (flag == "--svg") {
-      if (const char* v = next()) a.svg = v; else return std::nullopt;
-    } else if (flag == "--tree") {
-      if (const char* v = next()) a.tree_out = v; else return std::nullopt;
-    } else if (flag == "--demo") {
-      if (const char* v = next()) a.demo_dir = v; else return std::nullopt;
-    } else if (flag == "--csv") {
-      a.csv = true;
-    } else if (flag == "--report") {
-      if (const char* v = next()) a.report = v; else return std::nullopt;
-    } else if (flag == "--trace") {
-      if (const char* v = next()) a.trace = v; else return std::nullopt;
-    } else if (flag == "--profile") {
-      a.profile = true;
-    } else if (flag == "--verbose") {
-      a.verbose = true;
-    } else if (flag == "--mem-stats") {
-      a.mem_stats = true;
-    } else if (flag == "--selftest") {
-      a.selftest = true;
-    } else if (flag == "--deadline-ms") {
-      if (const char* v = next()) a.deadline_ms = std::atol(v); else return std::nullopt;
-    } else if (flag == "--log-json") {
-      if (const char* v = next()) a.log_json = v; else return std::nullopt;
-    } else if (flag == "--log-level") {
-      if (const char* v = next()) a.log_level = v; else return std::nullopt;
-    } else if (flag == "--telemetry-interval-ms") {
-      if (const char* v = next()) a.telemetry_interval_ms = std::atoi(v); else return std::nullopt;
-    } else {
+  core::RouterOptions& o = a.opts;
+  std::optional<double> strength;
+  while (f.next()) {
+    const std::string& flag = f.flag();
+    bool have = true;  // false: the flag's value is missing
+    if (flag == "--sinks") have = f.value(a.sinks);
+    else if (flag == "--rtl") have = f.value(a.rtl);
+    else if (flag == "--stream") have = f.value(a.stream);
+    else if (flag == "--style")
+      have = f.value(o.style, core::option_from_name<core::TreeStyle>);
+    else if (flag == "--topology")
+      have = f.value(o.topology, core::option_from_name<core::TopologyScheme>);
+    else if (flag == "--clustered") o.clustered = true;
+    else if (flag == "--threads")
+      have = f.number(o.num_threads, log::at_least(0));
+    else if (flag == "--size-gates")
+      o.gate_sizing = ct::GateSizing::MinWirelength;
+    else if (flag == "--skew-bound")
+      have = f.number(o.skew_bound, log::at_least(0.0));
+    else if (flag == "--eco") have = f.value(a.eco);
+    else if (flag == "--partitions")
+      have = f.number(o.controller_partitions,
+                      gating::ControllerPlacement::valid_partitions);
+    else if (flag == "--strength")
+      have = f.number(strength, log::between(0.0, 1.0));
+    else if (flag == "--auto-tune") o.auto_tune_reduction = true;
+    else if (flag == "--svg") have = f.value(a.svg);
+    else if (flag == "--tree") have = f.value(a.tree_out);
+    else if (flag == "--demo") have = f.value(a.demo_dir);
+    else if (flag == "--csv") a.csv = true;
+    else if (flag == "--report") have = f.value(a.report);
+    else if (flag == "--trace") have = f.value(a.trace);
+    else if (flag == "--profile") a.profile = true;
+    else if (flag == "--verbose") a.verbose = true;
+    else if (flag == "--mem-stats") a.mem_stats = true;
+    else if (flag == "--selftest") a.selftest = true;
+    else if (flag == "--deadline-ms") have = f.number(a.deadline_ms);
+    else if (flag == "--log-json") have = f.value(a.log_json);
+    else if (flag == "--log-level") have = f.value(a.log_level);
+    else if (flag == "--telemetry-interval-ms")
+      have = f.number(a.telemetry_interval_ms);
+    else {
       std::cerr << "unknown flag: " << flag << '\n';
       return std::nullopt;
     }
+    if (!have) return std::nullopt;
   }
+  if (strength)
+    o.reduction = gating::GateReductionParams::from_strength(*strength);
   return a;
 }
 
@@ -241,7 +220,8 @@ int write_demo(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Args> parsed = parse(argc, argv);
+  log::FlagReader flags(argc, argv);
+  const std::optional<Args> parsed = parse(flags);
   if (!parsed) {
     usage();
     return guard::kExitUsage;
@@ -257,6 +237,7 @@ int main(int argc, char** argv) {
   if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
+  if (flags.bad()) return flags.report_bad();
   // The profile rides in the run report, and snapshots only in a JSONL log
   // (the stderr sink never prints them).
   if (a.profile && a.report.empty()) {
@@ -342,33 +323,7 @@ int main(int argc, char** argv) {
 
     const core::GatedClockRouter router(std::move(design));
 
-    core::RouterOptions opts;
-    if (a.style == "buffered") opts.style = core::TreeStyle::Buffered;
-    else if (a.style == "gated") opts.style = core::TreeStyle::Gated;
-    else if (a.style == "reduced") opts.style = core::TreeStyle::GatedReduced;
-    else {
-      GCR_LOG_ERROR("cli.bad_flag").kv("flag", "--style").kv("value", a.style);
-      return guard::kExitUsage;
-    }
-    if (a.topology == "swcap") opts.topology = core::TopologyScheme::MinSwitchedCap;
-    else if (a.topology == "nn") opts.topology = core::TopologyScheme::NearestNeighbor;
-    else if (a.topology == "activity") opts.topology = core::TopologyScheme::ActivityOnly;
-    else if (a.topology == "mmm") opts.topology = core::TopologyScheme::Mmm;
-    else {
-      GCR_LOG_ERROR("cli.bad_flag")
-          .kv("flag", "--topology")
-          .kv("value", a.topology);
-      return guard::kExitUsage;
-    }
-    opts.controller_partitions = a.partitions;
-    opts.auto_tune_reduction = a.auto_tune;
-    opts.clustered = a.clustered;
-    opts.num_threads = a.threads;
-    opts.skew_bound = a.skew_bound;
-    if (a.sizing) opts.gate_sizing = ct::GateSizing::MinWirelength;
-    if (a.strength)
-      opts.reduction = gating::GateReductionParams::from_strength(*a.strength);
-
+    const core::RouterOptions& opts = a.opts;
     const guard::Deadline deadline =
         a.deadline_ms >= 0
             ? guard::Deadline::after_ms(static_cast<double>(a.deadline_ms))
@@ -478,7 +433,7 @@ int main(int argc, char** argv) {
     }
 
     eval::Table t({"metric", "value"});
-    t.add_row({"style", a.style});
+    t.add_row({"style", std::string(core::option_name(opts.style))});
     t.add_row({"sinks", std::to_string(r.tree.num_leaves)});
     t.add_row({"W(T) clock swcap pF", eval::Table::num(r.swcap.clock_swcap)});
     t.add_row({"W(S) ctrl swcap pF", eval::Table::num(r.swcap.ctrl_swcap)});
@@ -500,7 +455,7 @@ int main(int argc, char** argv) {
 
     if (!a.svg.empty()) {
       const gating::ControllerPlacement ctrl(result_router.design().die,
-                                             a.partitions);
+                                             opts.controller_partitions);
       write_file(a.svg, [&](std::ostream& os) {
         io::write_svg(os, r.tree, result_router.design().die, ctrl);
       });

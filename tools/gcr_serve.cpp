@@ -20,7 +20,6 @@
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -36,6 +35,7 @@
 #include "guard/status.h"
 #include "io/reqs_io.h"
 #include "io/tree_io.h"
+#include "log/flags.h"
 #include "log/logger.h"
 #include "serve/service.h"
 
@@ -52,9 +52,8 @@ struct Args {
   bool from_stdin = false;
   int workers = 2;
   std::size_t queue_depth = 64;
-  std::string policy = "shed";
+  serve::AdmitPolicy policy = serve::AdmitPolicy::Shed;
   std::size_t cache_capacity = 64;
-  int threads = 1;
   double deadline_ms = -1.0;
   std::string base_dir;
   std::string trees_dir;
@@ -78,9 +77,6 @@ void usage() {
          "                       (default shed)\n"
          "  --cache-capacity N   bounded LRU capacity for the design and\n"
          "                       result caches (default 64; 0 disables)\n"
-         "  --threads N          clustered-build width for requests with\n"
-         "                       threads=0 (default 1). Serve requests\n"
-         "                       route flat, so it has no effect\n"
          "  --deadline-ms MS     budget for requests without their own\n"
          "                       deadline_ms (< 0 = unlimited)\n"
          "  --base-dir DIR       resolve relative request paths against\n"
@@ -103,49 +99,39 @@ void usage() {
          "            4 internal error\n";
 }
 
-std::optional<Args> parse(int argc, char** argv) {
+/// Flag values that fail their checks are left on `f` (see log/flags.h);
+/// nullopt is a usage error.
+std::optional<Args> parse(log::FlagReader& f) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (flag == "--reqs") {
-      if (const char* v = next()) a.reqs = v; else return std::nullopt;
-    } else if (flag == "--stdin") {
-      a.from_stdin = true;
-    } else if (flag == "--workers") {
-      if (const char* v = next()) a.workers = std::atoi(v); else return std::nullopt;
-    } else if (flag == "--queue-depth") {
-      if (const char* v = next()) a.queue_depth = static_cast<std::size_t>(std::atol(v)); else return std::nullopt;
-    } else if (flag == "--policy") {
-      if (const char* v = next()) a.policy = v; else return std::nullopt;
-    } else if (flag == "--cache-capacity") {
-      if (const char* v = next()) a.cache_capacity = static_cast<std::size_t>(std::atol(v)); else return std::nullopt;
-    } else if (flag == "--threads") {
-      if (const char* v = next()) a.threads = std::atoi(v); else return std::nullopt;
-    } else if (flag == "--deadline-ms") {
-      if (const char* v = next()) a.deadline_ms = std::atof(v); else return std::nullopt;
-    } else if (flag == "--base-dir") {
-      if (const char* v = next()) a.base_dir = v; else return std::nullopt;
-    } else if (flag == "--trees") {
-      if (const char* v = next()) a.trees_dir = v; else return std::nullopt;
-    } else if (flag == "--faults") {
-      if (const char* v = next()) a.fault_seed = std::strtoull(v, nullptr, 10); else return std::nullopt;
-    } else if (flag == "--fault-prob") {
-      if (const char* v = next()) a.fault_prob = std::atof(v); else return std::nullopt;
-    } else if (flag == "--race") {
-      if (const char* v = next()) a.race = std::atoi(v); else return std::nullopt;
-    } else if (flag == "--log-json") {
-      if (const char* v = next()) a.log_json = v; else return std::nullopt;
-    } else if (flag == "--log-level") {
-      if (const char* v = next()) a.log_level = v; else return std::nullopt;
-    } else if (flag == "--verbose") {
-      a.verbose = true;
-    } else {
+  while (f.next()) {
+    const std::string& flag = f.flag();
+    bool have = true;  // false: the flag's value is missing
+    if (flag == "--reqs") have = f.value(a.reqs);
+    else if (flag == "--stdin") a.from_stdin = true;
+    else if (flag == "--workers") have = f.number(a.workers, log::at_least(1));
+    else if (flag == "--queue-depth") have = f.number(a.queue_depth);
+    else if (flag == "--policy")
+      have = f.value(a.policy, [](std::string_view v) {
+        return v == "shed"    ? std::optional(serve::AdmitPolicy::Shed)
+               : v == "block" ? std::optional(serve::AdmitPolicy::Block)
+                              : std::nullopt;
+      });
+    else if (flag == "--cache-capacity") have = f.number(a.cache_capacity);
+    else if (flag == "--deadline-ms") have = f.number(a.deadline_ms);
+    else if (flag == "--base-dir") have = f.value(a.base_dir);
+    else if (flag == "--trees") have = f.value(a.trees_dir);
+    else if (flag == "--faults") have = f.number(a.fault_seed);
+    else if (flag == "--fault-prob")
+      have = f.number(a.fault_prob, log::between(0.0, 1.0));
+    else if (flag == "--race") have = f.number(a.race, log::at_least(0));
+    else if (flag == "--log-json") have = f.value(a.log_json);
+    else if (flag == "--log-level") have = f.value(a.log_level);
+    else if (flag == "--verbose") a.verbose = true;
+    else {
       std::cerr << "unknown flag: " << flag << '\n';
       return std::nullopt;
     }
+    if (!have) return std::nullopt;
   }
   return a;
 }
@@ -169,7 +155,8 @@ void print_outcome(const serve::RequestOutcome& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Args> parsed = parse(argc, argv);
+  log::FlagReader flags(argc, argv);
+  const std::optional<Args> parsed = parse(flags);
   if (!parsed) {
     usage();
     return guard::kExitUsage;
@@ -180,15 +167,12 @@ int main(int argc, char** argv) {
     usage();
     return guard::kExitUsage;
   }
-  if (a.policy != "shed" && a.policy != "block") {
-    std::cerr << "bad --policy: " << a.policy << " (shed|block)\n";
-    return guard::kExitUsage;
-  }
 
   const log::CliLogger logger({a.log_json, a.log_level, a.verbose});
   if (!logger.ok()) {
     GCR_LOG_ERROR("cli.log_open_failed").kv("path", a.log_json);
   }
+  if (flags.bad()) return flags.report_bad();
 
   // Parse the batch before anything is armed or spawned: a malformed
   // batch is a submission error (exit 2), not a serving failure.
@@ -209,12 +193,10 @@ int main(int argc, char** argv) {
   serve::ServeOptions sopts;
   sopts.workers = a.workers;
   sopts.queue_capacity = a.queue_depth;
-  sopts.policy = a.policy == "block" ? serve::AdmitPolicy::Block
-                                     : serve::AdmitPolicy::Shed;
+  sopts.policy = a.policy;
   sopts.design_cache_capacity = a.cache_capacity;
   sopts.result_cache_capacity = a.cache_capacity;
   sopts.default_deadline_ms = a.deadline_ms;
-  sopts.route_threads = a.threads;
   sopts.base_dir = a.base_dir;
   if (sopts.base_dir.empty() && !a.reqs.empty()) {
     const std::size_t slash = a.reqs.find_last_of('/');
@@ -257,7 +239,7 @@ int main(int argc, char** argv) {
     }
   };
   std::vector<std::thread> racers;
-  racers.reserve(static_cast<std::size_t>(std::max(0, a.race)));
+  racers.reserve(static_cast<std::size_t>(a.race));
   for (int i = 0; i < a.race; ++i) racers.emplace_back(submit_all);
   submit_all();
   for (std::thread& t : racers) t.join();
