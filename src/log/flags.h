@@ -23,7 +23,8 @@
 ///   log::FlagReader f(argc, argv);
 ///   while (f.next()) {
 ///     bool have = true;
-///     if (f.flag() == "--threads") have = f.number(a.threads, log::at_least(0));
+///     if (f.flag() == "--threads")
+///       have = f.number(a.threads, log::at_least(0));
 ///     ...
 ///     if (!have) return std::nullopt;  // value missing: usage
 ///   }
